@@ -20,18 +20,23 @@ from rolemodel import (
     RoleModelOracle,
     Simplex,
     TraceFile,
+    TrainerConfig,
     TrainerState,
     brute_force_minimizer,
+    build_joint,
     check_theorem1,
     check_theorem2,
     direct_solution,
     expected_divergence_given_z,
+    general_channel,
     random_joint,
     role_model_exact,
     role_model_numeric,
     scenario_a,
     scenario_b,
     sufficiency_check,
+    to_matrix,
+    train_run,
     windowed_divergence,
     windowed_gradient,
 )
@@ -41,6 +46,11 @@ Q0_A = 4 / 7
 Q0_B = 0.425 / 0.5875           # = 34/47
 Q1_B = 0.3375 / 0.4125          # = 9/11
 ED_OPT_B = 0.5319936433323948   # H(X|Z) - H(X|Y) on the erasure scenario
+
+# Golden sha256 digests of two training trajectories (Python 3.11.7,
+# numpy 2.4.6). A changed digest is a behaviour change, not noise.
+EXAMPLE_B_TRACE_DIGEST = "72a3e7694d6a68bb473609cc8b97ca3cc32364d698c2320220d9adae6766f0ec"
+TERNARY_RUN_DIGEST = "add76e5f468d8afa3b29d96d668cb2f1381236de660f110619d1359bc5cf9730"
 
 
 def binary_entropy(p):
@@ -223,3 +233,14 @@ def test_10_identical_seeds_give_identical_traces(tmp_path):
     first = trace_digest(tmp_path / "first")
     second = trace_digest(tmp_path / "second")
     assert first == second
+    assert first == EXAMPLE_B_TRACE_DIGEST
+
+    # the n-ary projection path, on the joint_ternary joint of test_training
+    xy = to_matrix(general_channel([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
+    yz = to_matrix(general_channel([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]))
+    joint = build_joint(Simplex.uniform(3), xy, yz)
+    state = train_run(
+        joint, TrainerConfig(n_samples=3000, seed=5), RoleModelOracle.from_joint(joint)
+    )
+    run = repr((state.divergence_trace, state.param_trace)).encode()
+    assert hashlib.sha256(run).hexdigest() == TERNARY_RUN_DIGEST
