@@ -33,6 +33,6 @@ for (step, div), (_, params) in zip(state.divergence_trace, state.param_trace):
 
 print("\nfinal vs exact posterior:")
 for z in range(2):
-    got = state.est.row(z).probs[z]
-    want = exact.row(z).probs[z]
+    got = state.est.p[z, z]
+    want = exact.p[z, z]
     print(f"  q({z}|{z}) = {got:.5f}   exact {want:.5f}   off by {abs(got - want):.5f}")

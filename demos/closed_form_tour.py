@@ -1,8 +1,8 @@
 """Walk through the exact machinery on the two built-in scenarios.
 
 Shows that four independent routes to the optimal estimator agree:
-the direct posterior, the closed-form mixture, projected gradient
-descent, and a brute-force grid scan. Then checks the divergence
+the direct posterior, the closed-form mixture, exponentiated-gradient
+(multiplicative-weights) descent, and a brute-force grid scan. Then checks the divergence
 decomposition and the lower bound on a batch of random problems.
 """
 
@@ -23,8 +23,8 @@ from rolemodel import (
 
 
 def show(name, est):
-    rows = ["undefined" if r is None else np.array2string(r.probs, precision=6)
-            for r in est.rows]
+    rows = [np.array2string(row, precision=6) if ok else "undefined"
+            for row, ok in zip(est.p, est.defined)]
     print(f"  {name:<12} " + "  ".join(rows))
 
 

@@ -28,10 +28,8 @@ from .probability import (
     Y_AXIS,
     Z_AXIS,
     ConditionalTable,
-    EstimatorTable,
     Joint3,
     Simplex,
-    StochasticMatrix,
     conditional,
     conditional_entropy,
     conditional_mutual_information,

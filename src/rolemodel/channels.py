@@ -15,15 +15,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionError, DistributionError
-from .probability import Joint3, Simplex, StochasticMatrix
+from .probability import ConditionalTable, Joint3, Simplex
 
 Z_CHANNEL = "z_channel"
 BEC = "bec"
 GENERAL = "general"
-
-# Output alphabet of the erasure channel, in column order: the erasure
-# symbol sits between the two faithful symbols.
-BEC_OUTPUTS = ("0", "erasure", "1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,13 +28,13 @@ class ChannelSpec:
 
     Exactly the fields for its kind are set: ``crossover`` for a
     Z-channel, ``delta`` for an erasure channel, ``matrix`` for a
-    general channel.
+    general channel, whose table needs at least 2 rows, all defined.
     """
 
     kind: str
     crossover: Optional[float] = None
     delta: Optional[float] = None
-    matrix: Optional[StochasticMatrix] = None
+    matrix: Optional[ConditionalTable] = None
 
     def __post_init__(self):
         if self.kind == Z_CHANNEL:
@@ -54,12 +50,16 @@ class ChannelSpec:
         elif self.kind == GENERAL:
             if self.matrix is None or self.crossover is not None or self.delta is not None:
                 raise DistributionError("a general channel takes exactly a matrix")
+            if self.matrix.n_given < 2:
+                raise DistributionError("a channel needs at least 2 input symbols")
+            if not self.matrix.defined.all():
+                raise DistributionError("every channel row must be defined")
         else:
             raise DistributionError(f"unknown channel kind {self.kind!r}")
 
     @property
     def input_size(self) -> int:
-        return 2 if self.kind in (Z_CHANNEL, BEC) else self.matrix.input_size
+        return 2 if self.kind in (Z_CHANNEL, BEC) else self.matrix.n_given
 
     @property
     def output_size(self) -> int:
@@ -67,7 +67,7 @@ class ChannelSpec:
             return 2
         if self.kind == BEC:
             return 3
-        return self.matrix.output_size
+        return self.matrix.n_target
 
 
 def z_channel(crossover: float) -> ChannelSpec:
@@ -82,42 +82,41 @@ def bec(delta: float) -> ChannelSpec:
 
 
 def general_channel(matrix) -> ChannelSpec:
-    if not isinstance(matrix, StochasticMatrix):
-        matrix = StochasticMatrix(tuple(matrix))
+    if not isinstance(matrix, ConditionalTable):
+        matrix = ConditionalTable(matrix)
     return ChannelSpec(GENERAL, matrix=matrix)
 
 
-def to_matrix(spec: ChannelSpec) -> StochasticMatrix:
+def to_matrix(spec: ChannelSpec) -> ConditionalTable:
     """Render a ChannelSpec to its row-stochastic matrix."""
     if spec.kind == Z_CHANNEL:
         p = spec.crossover
-        return StochasticMatrix(((1.0, 0.0), (p, 1.0 - p)))
+        return ConditionalTable(((1.0, 0.0), (p, 1.0 - p)))
     if spec.kind == BEC:
         d = spec.delta
-        return StochasticMatrix(((1.0 - d, d, 0.0), (0.0, d, 1.0 - d)))
+        return ConditionalTable(((1.0 - d, d, 0.0), (0.0, d, 1.0 - d)))
     return spec.matrix
 
 
-def cascade(first: StochasticMatrix, second: StochasticMatrix) -> StochasticMatrix:
+def cascade(first: ConditionalTable, second: ConditionalTable) -> ConditionalTable:
     """Compose two channels in series: the matrix product first @ second."""
-    if first.output_size != second.input_size:
+    if first.n_target != second.n_given:
         raise DimensionError(
-            f"cannot cascade: first emits {first.output_size} symbols, "
-            f"second expects {second.input_size}"
+            f"cannot cascade: first emits {first.n_target} symbols, "
+            f"second expects {second.n_given}"
         )
-    product = first.p @ second.p
-    return StochasticMatrix(tuple(product[i] for i in range(product.shape[0])))
+    return ConditionalTable(first.p @ second.p)
 
 
-def build_joint(prior: Simplex, xy: StochasticMatrix, yz: StochasticMatrix) -> Joint3:
+def build_joint(prior: Simplex, xy: ConditionalTable, yz: ConditionalTable) -> Joint3:
     """Joint over (x, y, z) from a prior and two channel stages.
 
     p(x, y, z) = prior(x) * xy(y|x) * yz(z|y), which makes X - Y - Z a
     Markov chain by construction.
     """
-    if len(prior) != xy.input_size:
+    if len(prior) != xy.n_given:
         raise DimensionError("prior and first channel disagree on the X alphabet")
-    if xy.output_size != yz.input_size:
+    if xy.n_target != yz.n_given:
         raise DimensionError("channels disagree on the Y alphabet")
     table = np.einsum("i,ij,jk->ijk", prior.probs, xy.p, yz.p)
     return Joint3(table)

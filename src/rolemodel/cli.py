@@ -30,21 +30,14 @@ from .estimators import (
     check_theorem1,
     check_theorem2,
     direct_solution,
-    expected_divergence,
     expected_divergence_given_z,
     role_model_exact,
     role_model_numeric,
 )
 from .experiments import Scenario, run_figure_traces, random_joint, scenario_a, scenario_b
-from .probability import EstimatorTable, Simplex
+from .probability import ConditionalTable, Simplex, entropy
 from .specfiles import read_estimator, read_samples, read_scenario, write_estimator
 from .training import RoleModelOracle, TrainerConfig, train_run
-
-
-def _binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
 def _fmt_matrix(m) -> str:
@@ -61,8 +54,8 @@ def _emit(args, text: str, payload: dict, out_path) -> None:
             fh.write(body + "\n")
 
 
-def _rows_list(est: EstimatorTable) -> list:
-    return [None if r is None else [float(v) for v in r.probs] for r in est.rows]
+def _rows_list(est: ConditionalTable) -> list:
+    return [row.tolist() if ok else None for row, ok in zip(est.p, est.defined)]
 
 
 # -- example-a -------------------------------------------------------------
@@ -81,9 +74,10 @@ def cmd_example_a(args) -> int:
         return 1
 
     closed_form_err = 0.0
+    h_third = entropy(Simplex([1 / 3, 2 / 3]))
     for q0 in np.linspace(0.02, 0.98, 50):
         want = (
-            -(6 / 7) * _binary_entropy(1 / 3)
+            -(6 / 7) * h_third
             - (4 / 7) * math.log2(q0)
             - (3 / 7) * math.log2(1 - q0)
         )
@@ -245,7 +239,7 @@ def _one_theorem_case(case_seed: int, lo: int, hi: int):
     nx, ny, nz = (int(size_rng.integers(lo, hi + 1)) for _ in range(3))
     est_rng = np.random.default_rng([case_seed, 1])
     cells = est_rng.uniform(0.05, 1.0, size=(nz, nx))
-    est = EstimatorTable(tuple(Simplex(row / row.sum()) for row in cells))
+    est = ConditionalTable(cells / cells.sum(axis=1, keepdims=True))
 
     markov = random_joint(case_seed, nx, ny, nz, markov=True)
     ident = check_theorem1(markov, est)
@@ -362,7 +356,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         window=args.window,
         start_step=args.start_step,
-        init=EstimatorTable.uniform(nz, joint.nx),
+        init=ConditionalTable.uniform(nz, joint.nx),
         step_size_initial=args.eta0,
         step_size_tau=args.tau,
         clamp_epsilon=args.epsilon,
@@ -417,6 +411,15 @@ def cmd_evaluate(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and nonnegative, got {text!r}"
+        )
+    return value
+
+
 def _add_trainer_flags(sub, samples_help, samples_type):
     sub.add_argument("--seed", type=int, default=0, help="sampling seed")
     sub.add_argument("--samples", type=samples_type, default=None, help=samples_help)
@@ -446,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     eb = sub.add_parser("example-b", help="blind training on the erasure scenario")
     _add_trainer_flags(eb, "number of samples to draw", int)
     eb.set_defaults(samples=200_000)
-    eb.add_argument("--tolerance", type=float, default=0.02,
+    eb.add_argument("--tolerance", type=_tolerance, default=0.02,
                     help="allowed distance from the exact posterior")
     eb.add_argument("--delta", type=float, default=None,
                     help="override the erasure rate")
@@ -481,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="score a stored estimator against a scenario")
     ev.add_argument("spec", help="scenario spec file")
     ev.add_argument("estimator", help="estimator table file")
-    ev.add_argument("--tolerance", type=float, default=1e-9,
+    ev.add_argument("--tolerance", type=_tolerance, default=1e-9,
                     help="slack allowed when checking the bound")
     ev.add_argument("--json", action="store_true", help="machine-readable output")
     ev.set_defaults(func=cmd_evaluate)

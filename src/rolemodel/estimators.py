@@ -32,7 +32,6 @@ from .errors import (
 )
 from .probability import (
     ConditionalTable,
-    EstimatorTable,
     Joint3,
     Simplex,
     X_AXIS,
@@ -42,7 +41,6 @@ from .probability import (
     conditional,
     conditional_entropy,
     conditional_mutual_information,
-    kl_divergence,
     marginal_xz,
     marginal_yz,
     marginal_z,
@@ -96,16 +94,44 @@ class TheoremCheck:
     equality_holds_iff_direct: Optional[bool] = None
 
 
-def direct_solution(joint: Joint3) -> EstimatorTable:
+def direct_solution(joint: Joint3) -> ConditionalTable:
     """The Bayesian answer to "estimate x from z": one posterior per z.
 
-    Rows for zero-probability z are undefined (None).
+    Rows for zero-probability z are undefined.
     """
-    return EstimatorTable(conditional(joint, X_AXIS, Z_AXIS).rows)
+    return conditional(joint, X_AXIS, Z_AXIS)
 
 
-def _posterior_rows_xy(joint: Joint3) -> ConditionalTable:
-    return conditional(joint, X_AXIS, Y_AXIS)
+def _weighted_divergence(weight: np.ndarray, ref: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """weight * D(ref || q) in bits, one entry per row pair.
+
+    ``ref`` and ``q`` broadcast against each other and against
+    ``weight`` with the x axis last. Conventions are those of
+    kl_divergence: 0 * log2(0) = 0, D = +inf where ref has mass and q
+    has none, and each divergence is floored at 0 (Gibbs' inequality;
+    smaller values are rounding). Entries of zero weight are exactly 0
+    whatever ref and q hold there, so undefined (NaN) rows may sit
+    under them.
+    """
+    live = weight > 0.0
+    support = live[..., None] & (ref > 0.0)
+    with np.errstate(divide="ignore"):
+        logs = np.log2(np.where(support, ref, 1.0)) - np.log2(np.where(support, q, 1.0))
+    divergence = np.maximum((np.where(support, ref, 0.0) * logs).sum(axis=-1), 0.0)
+    return np.where(live, weight * divergence, 0.0)
+
+
+def _check_estimator(joint: Joint3, estimator: ConditionalTable, live: np.ndarray) -> None:
+    # one row over the X alphabet per z, defined wherever P(z) > 0 (live)
+    if estimator.n_given != joint.nz:
+        raise DimensionError("estimator does not match the Z alphabet")
+    if estimator.n_target != joint.nx:
+        raise DimensionError("estimator does not match the X alphabet")
+    missing = np.flatnonzero(live & ~estimator.defined)
+    if missing.size:
+        raise UndefinedConditionalError(
+            f"estimator row {missing[0]} undefined but P(z) > 0"
+        )
 
 
 def expected_divergence_given_z(joint: Joint3, q: Simplex, z: int) -> float:
@@ -115,41 +141,35 @@ def expected_divergence_given_z(joint: Joint3, q: Simplex, z: int) -> float:
         raise DimensionError("estimator row does not match the X alphabet")
     if not 0 <= z < joint.nz:
         raise DimensionError(f"z symbol {z} out of range")
-    pyz = marginal_yz(joint)
-    pz = pyz[:, z].sum()
-    if pz <= 0.0:
+    weights = conditional(joint, Y_AXIS, Z_AXIS)
+    if not weights.defined[z]:
         raise UndefinedConditionalError(f"symbol {z} has zero probability")
-    posteriors = _posterior_rows_xy(joint)
-    total = 0.0
-    for y in range(joint.ny):
-        w = pyz[y, z] / pz
-        if w > 0.0:
-            total += w * kl_divergence(posteriors.row(y), q)
-    return float(total)
+    posteriors = conditional(joint, X_AXIS, Y_AXIS).p
+    return float(_weighted_divergence(weights.p[z], posteriors, q.probs).sum())
 
 
-def expected_divergence(joint: Joint3, estimator: EstimatorTable) -> DivergenceReport:
+def expected_divergence(joint: Joint3, estimator: ConditionalTable) -> DivergenceReport:
     """Overall expected divergence of an estimator table.
 
     Every z with positive probability must have a defined row; rows for
     zero-probability z are ignored.
     """
-    if estimator.n_given != joint.nz:
-        raise DimensionError("estimator does not match the Z alphabet")
     pz = marginal_z(joint).probs
-    per_z = []
-    total = 0.0
-    for z in range(joint.nz):
-        if pz[z] <= 0.0:
-            continue
-        value = expected_divergence_given_z(joint, estimator.row(z), z)
-        per_z.append((z, float(pz[z]), value))
-        total += pz[z] * value
-    return DivergenceReport(total=float(total), per_z=tuple(per_z))
+    _check_estimator(joint, estimator, pz > 0.0)
+    weights = conditional(joint, Y_AXIS, Z_AXIS).p  # (z, y), NaN where P(z) = 0
+    posteriors = conditional(joint, X_AXIS, Y_AXIS).p  # (y, x)
+    per_z = _weighted_divergence(
+        weights, posteriors[None, :, :], estimator.p[:, None, :]
+    ).sum(axis=1)
+    live = np.flatnonzero(pz > 0.0)
+    return DivergenceReport(
+        total=float(pz[live] @ per_z[live]),
+        per_z=tuple(zip(live.tolist(), pz[live].tolist(), per_z[live].tolist())),
+    )
 
 
-def role_model_exact(joint: Joint3) -> EstimatorTable:
-    """Closed-form minimizer of the expected divergence, row by row.
+def role_model_exact(joint: Joint3) -> ConditionalTable:
+    """Closed-form minimizer of the expected divergence, all rows at once.
 
     Derivation: expanding each KL term splits ED(q; z) into a constant
     (the weighted entropies of the reference posteriors) plus the cross
@@ -160,23 +180,16 @@ def role_model_exact(joint: Joint3) -> EstimatorTable:
     is itself a distribution over x. Gibbs' inequality says a cross
     entropy against m_z is minimized uniquely at q = m_z, so the mixture
     of reference posteriors is the exact argmin; no search is involved.
+    In matrix form the table of all m_z is the product P(y|z) @ P(x|y).
     When X - Y - Z is Markov, m_z collapses to the direct posterior
     P(x|z), which is the content of the first decomposition theorem.
     """
-    pyz = marginal_yz(joint)
-    posteriors = _posterior_rows_xy(joint)
-    rows = []
-    for z in range(joint.nz):
-        pz = pyz[:, z].sum()
-        if pz <= 0.0:
-            rows.append(None)
-            continue
-        mix = np.zeros(joint.nx)
-        for y in range(joint.ny):
-            if pyz[y, z] > 0.0:
-                mix += (pyz[y, z] / pz) * posteriors.row(y).probs
-        rows.append(Simplex(mix))
-    return EstimatorTable(tuple(rows))
+    weights = conditional(joint, Y_AXIS, Z_AXIS)
+    posteriors = conditional(joint, X_AXIS, Y_AXIS)
+    # undefined rows carry zero weight; zero-fill them so 0 * NaN cannot leak
+    mix = np.nan_to_num(weights.p, nan=0.0) @ np.nan_to_num(posteriors.p, nan=0.0)
+    mix[~weights.defined] = math.nan
+    return ConditionalTable(mix)
 
 
 def _row_objective(weights: np.ndarray, posterior_rows: list, q: np.ndarray) -> float:
@@ -251,8 +264,8 @@ def role_model_numeric(
     joint: Joint3,
     tol: float = 1e-12,
     max_iters: int = 10_000,
-    init: Optional[EstimatorTable] = None,
-) -> EstimatorTable:
+    init: Optional[ConditionalTable] = None,
+) -> ConditionalTable:
     """Iterative minimizer of the expected divergence, row by row.
 
     Exists to corroborate ``role_model_exact`` through an independent
@@ -266,11 +279,7 @@ def role_model_numeric(
     if init is not None and init.n_given != joint.nz:
         raise DimensionError("init does not match the Z alphabet")
     pyz = marginal_yz(joint)
-    posteriors = _posterior_rows_xy(joint)
-    post_rows = [
-        posteriors.rows[y].probs if posteriors.rows[y] is not None else None
-        for y in range(joint.ny)
-    ]
+    post_rows = list(conditional(joint, X_AXIS, Y_AXIS).p)
     rows = []
     failed = []
     for z in range(joint.nz):
@@ -281,15 +290,15 @@ def role_model_numeric(
         weights = pyz[:, z] / pz
         live_rows = [r if w > 0.0 else np.zeros(joint.nx) for w, r in zip(weights, post_rows)]
         init_row = None
-        if init is not None and init.rows[z] is not None:
-            init_row = init.rows[z].probs
+        if init is not None and init.defined[z]:
+            init_row = init.p[z]
         q, _, converged = _descend_row(
             weights, live_rows, joint.nx, tol, max_iters, init_row
         )
-        rows.append(Simplex(q))
+        rows.append(q)
         if not converged:
             failed.append(z)
-    table = EstimatorTable(tuple(rows))
+    table = ConditionalTable(rows)
     if failed:
         raise ConvergenceError(
             f"descent exhausted {max_iters} iterations for z in {failed}",
@@ -299,7 +308,7 @@ def role_model_numeric(
 
 
 def check_theorem1(
-    joint: Joint3, estimator: EstimatorTable, tolerance: float = 1e-9
+    joint: Joint3, estimator: ConditionalTable, tolerance: float = 1e-9
 ) -> TheoremCheck:
     """Check the Markov decomposition of the expected divergence.
 
@@ -319,11 +328,7 @@ def check_theorem1(
     lhs = expected_divergence(joint, estimator).total
 
     pz = marginal_z(joint).probs
-    direct = direct_solution(joint)
-    residual = 0.0
-    for z in range(joint.nz):
-        if pz[z] > 0.0:
-            residual += pz[z] * kl_divergence(direct.row(z), estimator.row(z))
+    residual = _weighted_divergence(pz, direct_solution(joint).p, estimator.p).sum()
     rhs = (
         conditional_entropy(joint, X_AXIS, Z_AXIS)
         - conditional_entropy(joint, X_AXIS, Y_AXIS)
@@ -338,7 +343,7 @@ def check_theorem1(
 
 
 def check_theorem2(
-    joint: Joint3, estimator: EstimatorTable, tolerance: float = 1e-9
+    joint: Joint3, estimator: ConditionalTable, tolerance: float = 1e-9
 ) -> TheoremCheck:
     """Check the general lower bound on divergence from the full posterior.
 
@@ -351,28 +356,12 @@ def check_theorem2(
     additionally reports whether observed equality coincided with the
     estimator being the direct solution.
     """
-    if estimator.n_given != joint.nz:
-        raise DimensionError("estimator does not match the Z alphabet")
-    p = joint.p
-    pyz = marginal_yz(joint)
-    est = estimator.as_array(fill=math.nan)
-
-    lhs = 0.0
-    for z in range(joint.nz):
-        if pyz[:, z].sum() > 0.0 and estimator.rows[z] is None:
-            raise UndefinedConditionalError(
-                f"estimator row {z} undefined but P(z) > 0"
-            )
-    for y in range(joint.ny):
-        for z in range(joint.nz):
-            if pyz[y, z] <= 0.0:
-                continue
-            post = p[:, y, z] / pyz[y, z]
-            lhs += pyz[y, z] * _kl_from_arrays(post, est[z])
-            if math.isinf(lhs):
-                break
-        if math.isinf(lhs):
-            break
+    direct = direct_solution(joint)
+    _check_estimator(joint, estimator, direct.defined)
+    pyz = marginal_yz(joint)[:, :, None]
+    cells = np.moveaxis(joint.p, X_AXIS, -1)  # (y, z, x)
+    posteriors = np.divide(cells, pyz, out=np.full(cells.shape, math.nan), where=pyz > 0.0)
+    lhs = _weighted_divergence(pyz[:, :, 0], posteriors, estimator.p[None, :, :]).sum()
 
     rhs = conditional_entropy(joint, X_AXIS, Z_AXIS) - conditional_entropy(
         joint, X_AXIS, (Y_AXIS, Z_AXIS)
@@ -383,12 +372,8 @@ def check_theorem2(
     passed = True if math.isinf(lhs) else bool(gap >= -tolerance)
 
     equality = (not math.isinf(lhs)) and abs(gap) <= tolerance
-    direct = direct_solution(joint)
-    pz = marginal_z(joint).probs
-    worst = 0.0
-    for z in range(joint.nz):
-        if pz[z] > 0.0:
-            worst = max(worst, direct.row(z).tv_distance(estimator.row(z)))
+    live = direct.defined
+    worst = 0.5 * np.abs(direct.p[live] - estimator.p[live]).sum(axis=1).max()
     return TheoremCheck(
         lhs, rhs, gap, passed, tolerance, bool(equality == (worst <= tolerance))
     )
@@ -403,11 +388,10 @@ def sufficiency_check(joint: Joint3, tolerance: float = 1e-9) -> TheoremCheck:
     function of z that preserves the posterior, so it is a sufficient
     statistic for x.
     """
-    direct = direct_solution(joint)
+    rows = direct_solution(joint).rows
     pxz = marginal_xz(joint)
     reps = []  # (representative Simplex, class column)
-    for z in range(joint.nz):
-        row = direct.rows[z]
+    for z, row in enumerate(rows):
         if row is None:
             continue
         for rep, column in reps:

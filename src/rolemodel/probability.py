@@ -8,8 +8,8 @@ Conventions used throughout:
 * 0 * log2(0) = 0 in every entropy-like sum;
 * D(p||q) = +inf when p puts mass on a symbol where q has none;
 * conditioning on a zero-probability symbol is undefined and is
-  represented explicitly (a None row), never silently replaced by a
-  uniform or zero row.
+  represented explicitly (a NaN row, flagged in the table's ``defined``
+  mask), never silently replaced by a uniform or zero row.
 
 All types are immutable after construction (their arrays are marked
 read-only) and all operations are pure functions of their inputs.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -32,8 +32,6 @@ X_AXIS, Y_AXIS, Z_AXIS = 0, 1, 2
 # Smaller deviations are normalized away: the window absorbs accumulated
 # rounding from chained products without masking construction bugs.
 SUM_TOLERANCE = 1e-9
-
-_LN2 = math.log(2.0)
 
 
 def _table_entropy(table: np.ndarray) -> float:
@@ -104,44 +102,6 @@ class Simplex:
 
 
 @dataclass(frozen=True, eq=False)
-class StochasticMatrix:
-    """A row-stochastic matrix: one Simplex per input symbol.
-
-    Models a memoryless channel from an input alphabet (rows) to an
-    output alphabet (columns). ``p`` is the (input_size, output_size)
-    table, derived from the validated rows and marked read-only.
-    """
-
-    rows: tuple
-    p: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        rows = tuple(
-            r if isinstance(r, Simplex) else Simplex(r) for r in self.rows
-        )
-        if len(rows) < 2:
-            raise DistributionError("a channel needs at least 2 input symbols")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise DimensionError("all rows must share one output alphabet")
-        table = np.vstack([r.probs for r in rows])
-        table.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "p", table)
-
-    @property
-    def input_size(self) -> int:
-        return len(self.rows)
-
-    @property
-    def output_size(self) -> int:
-        return len(self.rows[0])
-
-    def row(self, i: int) -> Simplex:
-        return self.rows[i]
-
-
-@dataclass(frozen=True, eq=False)
 class Joint3:
     """A joint distribution over (x, y, z): a read-only (nx, ny, nz) table.
 
@@ -181,56 +141,86 @@ class Joint3:
         return self.p.shape[Z_AXIS]
 
 
+def _simplex_view(probs: np.ndarray) -> Simplex:
+    # A Simplex over an already validated, read-only row, not renormalized.
+    view = object.__new__(Simplex)
+    object.__setattr__(view, "probs", probs)
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionalTable:
     """A family of conditional distributions, one row per conditioning symbol.
 
-    Rows whose conditioning symbol has zero probability are None
-    ("undefined"). At least one row must be defined, and all defined rows
-    share one target alphabet.
+    ``p`` is a read-only (n_given, n_target) array; rows whose
+    conditioning symbol has zero probability are undefined, hold NaN,
+    and are False in the read-only ``defined`` mask. The same type
+    serves as a channel (every row defined), a posterior table and an
+    estimator. The constructor takes a 2-d array or a sequence of rows,
+    where a row is a Simplex, a vector, None or all NaN (undefined).
+    Every defined row is validated and renormalized as by Simplex; at
+    least one row must be defined.
     """
 
-    rows: tuple
+    p: np.ndarray
+    defined: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = tuple(
-            r if (r is None or isinstance(r, Simplex)) else Simplex(r)
-            for r in self.rows
-        )
-        defined = [r for r in rows if r is not None]
-        if not defined:
+        rows = self.p
+        if not isinstance(rows, np.ndarray):
+            rows = [
+                None if r is None else np.asarray(getattr(r, "probs", r), dtype=float)
+                for r in rows
+            ]
+            shapes = {r.shape for r in rows if r is not None}
+            if len(shapes) > 1:
+                raise DimensionError("all defined rows must share one alphabet")
+            blank = np.full(shapes.pop() if shapes else 0, math.nan)
+            rows = [blank if r is None else r for r in rows]
+        arr = np.array(rows, dtype=float, order="C")
+        if arr.ndim != 2:
+            raise DistributionError(f"expected a 2-d table, got shape {arr.shape}")
+        defined = ~np.all(np.isnan(arr), axis=1)
+        if not defined.any():
             raise DistributionError("a conditional table needs a defined row")
-        width = len(defined[0])
-        if any(len(r) != width for r in defined):
-            raise DimensionError("all defined rows must share one alphabet")
-        object.__setattr__(self, "rows", rows)
+        if arr.shape[1] < 2:
+            raise DistributionError("alphabet must have at least 2 symbols")
+        body = arr[defined]
+        if not np.all(np.isfinite(body)):
+            raise DistributionError("probabilities must be finite")
+        if np.any(body < 0.0):
+            raise DistributionError("probabilities must be nonnegative")
+        totals = body.sum(axis=1)
+        off = np.abs(totals - 1.0) > SUM_TOLERANCE
+        if off.any():
+            raise DistributionError(f"probabilities sum to {totals[off][0]!r}, not 1")
+        arr[defined] = body / totals[:, None]
+        arr.setflags(write=False)
+        defined.setflags(write=False)
+        object.__setattr__(self, "p", arr)
+        object.__setattr__(self, "defined", defined)
 
     @property
     def n_given(self) -> int:
-        return len(self.rows)
+        return self.p.shape[0]
 
     @property
     def n_target(self) -> int:
-        return len(next(r for r in self.rows if r is not None))
+        return self.p.shape[1]
 
     def row(self, i: int) -> Simplex:
-        r = self.rows[i]
-        if r is None:
+        if not self.defined[i]:
             raise UndefinedConditionalError(
                 f"conditional is undefined for symbol {i} (zero probability)"
             )
-        return r
+        return _simplex_view(self.p[i])
 
-    def defined_items(self) -> list:
-        """(index, Simplex) pairs for the defined rows."""
-        return [(i, r) for i, r in enumerate(self.rows) if r is not None]
-
-    def as_array(self, fill: float = math.nan) -> np.ndarray:
-        """Dense (n_given, n_target) copy with undefined rows set to fill."""
-        out = np.full((self.n_given, self.n_target), fill, dtype=float)
-        for i, r in self.defined_items():
-            out[i] = r.probs
-        return out
+    @property
+    def rows(self) -> tuple:
+        """One Simplex per conditioning symbol, None for undefined rows."""
+        return tuple(
+            _simplex_view(r) if d else None for r, d in zip(self.p, self.defined)
+        )
 
     def tv_distance(self, other: "ConditionalTable") -> float:
         """Largest row-wise TV distance.
@@ -240,22 +230,16 @@ class ConditionalTable:
         """
         if self.n_given != other.n_given:
             raise DimensionError("conditioning alphabets differ")
-        worst = 0.0
-        for a, b in zip(self.rows, other.rows):
-            if a is None and b is None:
-                continue
-            if a is None or b is None:
-                return math.inf
-            worst = max(worst, a.tv_distance(b))
-        return worst
-
-
-class EstimatorTable(ConditionalTable):
-    """A candidate estimator: one distribution over x per observable z."""
+        if self.n_target != other.n_target:
+            raise DimensionError("alphabet sizes differ")
+        if np.any(self.defined != other.defined):
+            return math.inf
+        both = self.defined
+        return float(0.5 * np.abs(self.p[both] - other.p[both]).sum(axis=1).max())
 
     @staticmethod
-    def uniform(n_given: int, n_target: int) -> "EstimatorTable":
-        return EstimatorTable(tuple(Simplex.uniform(n_target) for _ in range(n_given)))
+    def uniform(n_given: int, n_target: int) -> "ConditionalTable":
+        return ConditionalTable(np.full((n_given, n_target), 1.0 / n_target))
 
 
 def entropy(p: Simplex) -> float:
@@ -309,7 +293,7 @@ _AXIS_NAMES = {X_AXIS: "x", Y_AXIS: "y", Z_AXIS: "z"}
 def conditional(joint: Joint3, target_axis: int, given_axis: int) -> ConditionalTable:
     """P(target | given), one row per conditioning symbol.
 
-    Zero-probability conditioning symbols yield None rows.
+    Zero-probability conditioning symbols yield undefined rows.
     """
     if target_axis not in _AXIS_NAMES or given_axis not in _AXIS_NAMES:
         raise DimensionError("axes must be X_AXIS, Y_AXIS or Z_AXIS")
@@ -319,11 +303,8 @@ def conditional(joint: Joint3, target_axis: int, given_axis: int) -> Conditional
     table = joint.p.sum(axis=drop)
     if target_axis < given_axis:
         table = table.T  # reorient to (given, target)
-    mass = table.sum(axis=1)
-    rows = tuple(
-        Simplex(table[g] / mass[g]) if mass[g] > 0.0 else None
-        for g in range(table.shape[0])
-    )
+    mass = table.sum(axis=1)[:, None]
+    rows = np.divide(table, mass, out=np.full(table.shape, math.nan), where=mass > 0.0)
     return ConditionalTable(rows)
 
 

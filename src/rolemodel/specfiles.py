@@ -35,7 +35,7 @@ from .channels import ChannelSpec, bec, build_joint, general_channel, to_matrix,
 from .errors import SpecFormatError
 from .estimators import direct_solution
 from .experiments import Scenario
-from .probability import EstimatorTable, Simplex
+from .probability import ConditionalTable, Simplex
 
 _ROW_KEY = re.compile(r"^row_(\d+)$")
 
@@ -73,6 +73,7 @@ def _reals(text: str, path, lineno: int) -> list:
 
 
 def _numbered_rows(entries: dict, prefix: str, path) -> list:
+    """(value string, line number) of each <prefix><i> key, in index order."""
     found = {}
     for key, (value, lineno) in entries.items():
         if not key.startswith(prefix):
@@ -80,7 +81,7 @@ def _numbered_rows(entries: dict, prefix: str, path) -> list:
         index = key[len(prefix) :]
         if not index.isdigit():
             raise SpecFormatError(f"{path}:{lineno}: bad row key {key!r}")
-        found[int(index)] = _reals(value, path, lineno)
+        found[int(index)] = (value, lineno)
     if not found:
         return []
     if sorted(found) != list(range(len(found))):
@@ -118,7 +119,7 @@ def _channel_from(entries: dict, prefix: str, path, used: set) -> ChannelSpec:
                 f"{prefix}_row_1, ..."
             )
         used.update(k for k in entries if k.startswith(f"{prefix}_row_"))
-        return general_channel(rows)
+        return general_channel([_reals(value, path, lineno) for value, lineno in rows])
     raise SpecFormatError(
         f"{path}:{kind_line}: unknown channel kind {kind!r} "
         "(choose z_channel, bec, or general)"
@@ -161,10 +162,8 @@ def _channel_lines(prefix: str, spec: ChannelSpec) -> list:
     if spec.kind == "bec":
         return [f"{prefix}_kind = bec", f"{prefix}_delta = {spec.delta!r}"]
     lines = [f"{prefix}_kind = general"]
-    for i, row in enumerate(spec.matrix.rows):
-        lines.append(
-            f"{prefix}_row_{i} = " + ", ".join(repr(float(v)) for v in row.probs)
-        )
+    for i, row in enumerate(spec.matrix.p):
+        lines.append(f"{prefix}_row_{i} = " + ", ".join(repr(float(v)) for v in row))
     return lines
 
 
@@ -177,26 +176,20 @@ def write_scenario(path, scenario: Scenario) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_estimator(path) -> EstimatorTable:
+def read_estimator(path) -> ConditionalTable:
     entries = _parse_kv(path)
     for key, (_, lineno) in entries.items():
         if not _ROW_KEY.match(key):
             raise SpecFormatError(f"{path}:{lineno}: unknown key {key!r}")
-    found = {}
-    for key, (value, lineno) in entries.items():
-        index = int(_ROW_KEY.match(key).group(1))
-        if value == "undefined":
-            found[index] = None
-        else:
-            found[index] = Simplex(_reals(value, path, lineno))
-    if not found:
+    rows = _numbered_rows(entries, "row_", path)
+    if not rows:
         raise SpecFormatError(f"{path}: no row_<i> keys found")
-    if sorted(found) != list(range(len(found))):
-        raise SpecFormatError(f"{path}: row_<i> keys must be contiguous from row_0")
-    return EstimatorTable(tuple(found[i] for i in range(len(found))))
+    return ConditionalTable(
+        [None if value == "undefined" else _reals(value, path, lineno) for value, lineno in rows]
+    )
 
 
-def write_estimator(path, est: EstimatorTable) -> None:
+def write_estimator(path, est: ConditionalTable) -> None:
     lines = []
     for i, row in enumerate(est.rows):
         if row is None:

@@ -57,15 +57,7 @@ from .errors import (
     EmptyWindowError,
     UndefinedConditionalError,
 )
-from .probability import (
-    EstimatorTable,
-    Joint3,
-    Simplex,
-    StochasticMatrix,
-    X_AXIS,
-    Y_AXIS,
-    conditional,
-)
+from .probability import ConditionalTable, Joint3, X_AXIS, Y_AXIS, conditional
 
 _LN2 = math.log(2.0)
 
@@ -79,25 +71,25 @@ class RoleModelOracle:
     the source symbol itself.
     """
 
-    posterior_xy: StochasticMatrix
+    posterior_xy: ConditionalTable
 
     @property
     def n_y(self) -> int:
-        return self.posterior_xy.input_size
+        return self.posterior_xy.n_given
 
     @property
     def n_x(self) -> int:
-        return self.posterior_xy.output_size
+        return self.posterior_xy.n_target
 
     @classmethod
     def from_joint(cls, joint: Joint3) -> "RoleModelOracle":
-        rows = conditional(joint, X_AXIS, Y_AXIS).rows
-        if any(r is None for r in rows):
+        posterior = conditional(joint, X_AXIS, Y_AXIS)
+        if not posterior.defined.all():
             raise UndefinedConditionalError(
                 "some y-symbols have zero probability; drop them from the "
                 "alphabet before building an oracle"
             )
-        return cls(StochasticMatrix(rows))
+        return cls(posterior)
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,7 @@ class TrainerConfig:
     seed: int = 0
     window: int = 100
     start_step: int = 101
-    init: Optional[EstimatorTable] = None
+    init: Optional[ConditionalTable] = None
     step_size_initial: float = 0.05
     step_size_tau: float = 1000.0
     clamp_epsilon: float = 1e-2
@@ -129,13 +121,16 @@ class TrainerConfig:
             raise DistributionError("window must be positive")
         if self.start_step < self.window + 1:
             raise DistributionError("start_step must exceed the window length")
+        for name in ("step_size_initial", "step_size_tau", "clamp_epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise DistributionError(f"{name} must be finite")
         if self.step_size_initial <= 0.0:
             raise DistributionError("step_size_initial must be positive")
         if self.step_size_tau <= 0.0:
             raise DistributionError("step_size_tau must be positive")
         if not 0.0 < self.clamp_epsilon < 0.5:
             raise DistributionError("clamp_epsilon must lie in (0, 0.5)")
-        if self.init is not None and any(r is None for r in self.init.rows):
+        if self.init is not None and not self.init.defined.all():
             raise DistributionError("init must define a row for every z-symbol")
 
 
@@ -150,10 +145,10 @@ class TrainerState:
     step at which the window is full.
     """
 
-    def __init__(self, est: EstimatorTable, window: int, buffer: Iterable = ()):
+    def __init__(self, est: ConditionalTable, window: int, buffer: Iterable = ()):
         if window < 1:
             raise DistributionError("window must be positive")
-        if any(r is None for r in est.rows):
+        if not est.defined.all():
             raise DistributionError("the trained estimator must define every row")
         self.window = int(window)
         self.step = 0
@@ -165,9 +160,9 @@ class TrainerState:
         self._nx = est.n_target
         self._binary = self._nx == 2
         if self._binary:
-            self._p = [float(r.probs[0]) for r in est.rows]
+            self._p = est.p[:, 0].tolist()
         else:
-            self._q = est.as_array()
+            self._q = np.array(est.p)
         # aggregate cache, rebuilt whenever the oracle object changes
         self._oracle_token = None
         for pair in buffer:
@@ -177,12 +172,11 @@ class TrainerState:
                 self.window_buffer.popleft()
 
     @property
-    def est(self) -> EstimatorTable:
+    def est(self) -> ConditionalTable:
         if self._binary:
-            rows = tuple(Simplex((p, 1.0 - p)) for p in self._p)
-        else:
-            rows = tuple(Simplex(row) for row in self._q)
-        return EstimatorTable(rows)
+            p = np.array(self._p)
+            return ConditionalTable(np.column_stack((p, 1.0 - p)))
+        return ConditionalTable(self._q)
 
     def params(self) -> tuple:
         """Current estimator entries, flattened row-major."""
@@ -434,7 +428,7 @@ def train_run(
     if config.init is not None:
         est = config.init
     else:
-        est = EstimatorTable.uniform(nz, oracle.n_x)
+        est = ConditionalTable.uniform(nz, oracle.n_x)
     state = TrainerState(est, config.window)
     for pair in pairs:
         train_step(state, pair, config, oracle)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rolemodel import (
-    EstimatorTable,
+    ConditionalTable,
     Joint3,
     RoleModelOracle,
     Simplex,
@@ -60,7 +60,7 @@ def binary_entropy(p):
 def full_support_estimator(seed, nz, nx):
     rng = np.random.default_rng([seed, 1])
     cells = rng.uniform(0.05, 1.0, size=(nz, nx))
-    return EstimatorTable(tuple(Simplex(row / row.sum()) for row in cells))
+    return ConditionalTable(tuple(Simplex(row / row.sum()) for row in cells))
 
 
 def test_01_cascade_scenario_exact_solution():
@@ -144,7 +144,7 @@ def test_06_divergence_lower_bound_sweep():
             p[top] -= 0.1
             p[np.arange(nx) != top] += 0.1 / (nx - 1)
             rows.append(Simplex(p))
-        shifted = check_theorem2(joint, EstimatorTable(tuple(rows)))
+        shifted = check_theorem2(joint, ConditionalTable(tuple(rows)))
         assert shifted.gap > 1e-6, f"perturbed gap too small at case seed {seed}"
 
 
@@ -181,7 +181,7 @@ def test_08_windowed_gradient_matches_finite_differences():
         p = rng.uniform(0.05, 0.95, size=2)
 
         def state_at(values):
-            est = EstimatorTable(tuple(Simplex((v, 1.0 - v)) for v in values))
+            est = ConditionalTable(tuple(Simplex((v, 1.0 - v)) for v in values))
             return TrainerState(est, m, buffer=pairs)
 
         grad = windowed_gradient(state_at(p), oracle)

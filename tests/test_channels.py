@@ -6,7 +6,7 @@ from rolemodel import (
     Joint3,
     SampleTriple,
     Simplex,
-    StochasticMatrix,
+    ConditionalTable,
     X_AXIS,
     Z_AXIS,
     bec,
@@ -26,7 +26,7 @@ from rolemodel.errors import DimensionError, DistributionError
 
 def random_matrix(rng, n_in, n_out):
     cells = rng.standard_exponential((n_in, n_out))
-    return StochasticMatrix(tuple(row / row.sum() for row in cells))
+    return ConditionalTable(tuple(row / row.sum() for row in cells))
 
 
 class TestChannelSpecs:
@@ -41,12 +41,18 @@ class TestChannelSpecs:
     def test_bec_matrix(self):
         m = to_matrix(bec(0.25))
         np.testing.assert_allclose(m.p, [[0.75, 0.25, 0.0], [0.0, 0.25, 0.75]])
-        assert m.output_size == 3  # erasure symbol sits between the two outputs
+        assert m.n_target == 3  # erasure symbol sits between the two outputs
 
     def test_general_channel_accepts_raw_rows(self):
         spec = general_channel([[0.9, 0.1], [0.7, 0.3], [0.2, 0.8]])
         assert spec.input_size == 3
         assert spec.output_size == 2
+
+    def test_general_channel_rejects_single_row(self):
+        with pytest.raises(DistributionError):
+            general_channel([[0.5, 0.5]])
+        with pytest.raises(DistributionError):
+            general_channel([[0.5, 0.5], None])
 
     def test_parameter_range_validation(self):
         with pytest.raises(DistributionError):
@@ -82,7 +88,7 @@ class TestCascade:
     def test_identity_is_neutral(self):
         rng = np.random.default_rng(43)
         m = random_matrix(rng, 3, 3)
-        eye = StochasticMatrix(tuple(np.eye(3)))
+        eye = ConditionalTable(tuple(np.eye(3)))
         np.testing.assert_allclose(cascade(eye, m).p, m.p, atol=1e-15)
         np.testing.assert_allclose(cascade(m, eye).p, m.p, atol=1e-15)
 
@@ -127,7 +133,7 @@ class TestBuildJoint:
 
     def test_dimension_mismatches(self):
         prior = Simplex([0.5, 0.5])
-        m23 = StochasticMatrix(((0.5, 0.3, 0.2), (0.1, 0.1, 0.8)))
+        m23 = ConditionalTable(((0.5, 0.3, 0.2), (0.1, 0.1, 0.8)))
         with pytest.raises(DimensionError):
             build_joint(Simplex.uniform(3), m23, m23)
         with pytest.raises(DimensionError):

@@ -78,6 +78,20 @@ class TestExampleB:
         assert code == 2
         assert "usage error" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--eta0", "nan"), ("--tau", "inf"), ("--epsilon", "nan"),
+         ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-0.1")],
+    )
+    def test_non_finite_or_negative_numbers_are_usage_errors(
+        self, tmp_path, capsys, flag, value
+    ):
+        code, _ = run(
+            capsys, "example-b", "--out", tmp_path, "--samples", 300, flag, value
+        )
+        assert code == 2
+        assert not list(tmp_path.iterdir())
+
     def test_channel_override(self, tmp_path, capsys):
         code, captured = run(
             capsys, "example-b", "--out", tmp_path, "--samples", 3000,
@@ -179,6 +193,13 @@ class TestTrainEvaluate:
         assert code == 0
         payload = json.loads(captured.out)
         assert abs(payload["gap_bits"]) <= 1e-9
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_evaluate_bad_tolerance_is_usage_error(self, tmp_path, spec_path, capsys, value):
+        est_path = tmp_path / "direct.txt"
+        write_estimator(est_path, direct_solution(scenario_b().joint()))
+        code, _ = run(capsys, "evaluate", spec_path, est_path, "--tolerance", value)
+        assert code == 2
 
     def test_evaluate_missing_file(self, tmp_path, spec_path, capsys):
         code, captured = run(capsys, "evaluate", spec_path, tmp_path / "nope.txt")

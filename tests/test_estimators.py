@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from rolemodel import (
-    EstimatorTable,
+    ConditionalTable,
     Joint3,
     Simplex,
-    StochasticMatrix,
     X_AXIS,
     Z_AXIS,
     build_joint,
@@ -49,14 +48,14 @@ def random_markov_joint(rng, nx, ny, nz):
     yz = rng.standard_exponential((ny, nz))
     return build_joint(
         Simplex(prior / prior.sum()),
-        StochasticMatrix(tuple(r / r.sum() for r in xy)),
-        StochasticMatrix(tuple(r / r.sum() for r in yz)),
+        ConditionalTable(tuple(r / r.sum() for r in xy)),
+        ConditionalTable(tuple(r / r.sum() for r in yz)),
     )
 
 
 def random_estimator(rng, nz, nx):
     cells = rng.standard_exponential((nz, nx))
-    return EstimatorTable(tuple(Simplex(r / r.sum()) for r in cells))
+    return ConditionalTable(tuple(Simplex(r / r.sum()) for r in cells))
 
 
 def closed_form_ed_z0(q0):
@@ -138,7 +137,7 @@ class TestExpectedDivergence:
             assert expected_divergence(j, est).total == pytest.approx(acc, abs=1e-10)
 
     def test_infinite_when_estimator_lacks_support(self, joint_a):
-        est = EstimatorTable((Simplex([1.0, 0.0]), Simplex([1.0, 0.0])))
+        est = ConditionalTable((Simplex([1.0, 0.0]), Simplex([1.0, 0.0])))
         assert expected_divergence(joint_a, est).total == math.inf
 
     def test_errors(self, joint_a):
@@ -153,7 +152,7 @@ class TestExpectedDivergence:
         with pytest.raises(UndefinedConditionalError):
             expected_divergence_given_z(j, Simplex.uniform(2), 1)
         with pytest.raises(UndefinedConditionalError):
-            expected_divergence(j, EstimatorTable((None, Simplex.uniform(2))))
+            expected_divergence(j, ConditionalTable((None, Simplex.uniform(2))))
 
 
 class TestRoleModelExact:
@@ -192,7 +191,7 @@ class TestRoleModelExact:
                 for z in range(2):
                     q = np.clip(best.row(z).probs + direction, 1e-9, None)
                     rows.append(Simplex(q / q.sum()))
-                assert expected_divergence(j, EstimatorTable(tuple(rows))).total >= base - 1e-12
+                assert expected_divergence(j, ConditionalTable(tuple(rows))).total >= base - 1e-12
 
     def test_zero_probability_symbol_undefined(self):
         table = np.zeros((2, 2, 3))
@@ -241,7 +240,7 @@ class TestRoleModelNumeric:
 
     def test_init_without_needed_support_recovers(self, joint_a):
         # a zero where the optimum needs mass would pin the objective at +inf
-        bad = EstimatorTable((Simplex([0.0, 1.0]), Simplex([0.0, 1.0])))
+        bad = ConditionalTable((Simplex([0.0, 1.0]), Simplex([0.0, 1.0])))
         numeric = role_model_numeric(joint_a, init=bad)
         assert numeric.tv_distance(role_model_exact(joint_a)) <= 1e-6
 
@@ -249,12 +248,12 @@ class TestRoleModelNumeric:
         with pytest.raises(ConvergenceError) as err:
             role_model_numeric(joint_b, tol=0.0, max_iters=1)
         last = err.value.last_estimate
-        assert isinstance(last, EstimatorTable)
+        assert isinstance(last, ConditionalTable)
         assert last.n_given == joint_b.nz
 
     def test_init_shape_checked(self, joint_b):
         with pytest.raises(DimensionError):
-            role_model_numeric(joint_b, init=EstimatorTable.uniform(3, 2))
+            role_model_numeric(joint_b, init=ConditionalTable.uniform(3, 2))
 
 
 class TestTheorem1:
@@ -281,7 +280,7 @@ class TestTheorem1:
             check_theorem1(j, est)
 
     def test_both_sides_infinite_agree(self, joint_a):
-        est = EstimatorTable((Simplex([1.0, 0.0]), Simplex([1.0, 0.0])))
+        est = ConditionalTable((Simplex([1.0, 0.0]), Simplex([1.0, 0.0])))
         check = check_theorem1(joint_a, est)
         assert check.passed
         assert math.isinf(check.lhs) and math.isinf(check.rhs)
@@ -314,19 +313,19 @@ class TestTheorem2:
             for z in range(j.nz):
                 q = np.clip(direct.row(z).probs + np.array([0.02, -0.02]), 1e-6, None)
                 rows.append(Simplex(q / q.sum()))
-            check = check_theorem2(j, EstimatorTable(tuple(rows)))
+            check = check_theorem2(j, ConditionalTable(tuple(rows)))
             assert check.passed
             assert check.gap > 1e-7
             assert check.equality_holds_iff_direct
 
     def test_infinite_lhs_still_passes(self, joint_b):
-        est = EstimatorTable((Simplex([1.0, 0.0]), Simplex([1.0, 0.0])))
+        est = ConditionalTable((Simplex([1.0, 0.0]), Simplex([1.0, 0.0])))
         check = check_theorem2(joint_b, est)
         assert check.passed
         assert math.isinf(check.lhs)
 
     def test_undefined_row_with_mass_rejected(self, joint_b):
-        est = EstimatorTable((Simplex.uniform(2), None))
+        est = ConditionalTable((Simplex.uniform(2), None))
         with pytest.raises(UndefinedConditionalError):
             check_theorem2(joint_b, est)
 

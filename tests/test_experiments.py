@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rolemodel import (
-    EstimatorTable,
+    ConditionalTable,
     Joint3,
     Scenario,
     Simplex,
@@ -80,7 +80,7 @@ class TestScenarios:
                 prior=Simplex([0.5, 0.5]),
                 xy_channel=z_channel(0.5),
                 yz_channel=z_channel(0.5),
-                expected_posterior=EstimatorTable(
+                expected_posterior=ConditionalTable(
                     (Simplex([0.5, 0.5]), Simplex([0.0, 1.0]))
                 ),
             )
@@ -92,7 +92,7 @@ class TestScenarios:
                 prior=Simplex([0.5, 0.5]),
                 xy_channel=z_channel(0.5),
                 yz_channel=z_channel(0.5),
-                expected_posterior=EstimatorTable.uniform(3, 2),
+                expected_posterior=ConditionalTable.uniform(3, 2),
             )
 
 
@@ -163,6 +163,18 @@ class TestTraceFile:
         path = tmp_path / "bad.csv"
         path.write_text("step,divergence_bits,q_0\n1,0.5,oops\n")
         with pytest.raises(SpecFormatError, match="bad.csv:2"):
+            TraceFile.read(path)
+
+    def test_read_rejects_bad_metadata_value(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# window = 100\n# seed = abc\nstep,divergence_bits,q_0\n")
+        with pytest.raises(SpecFormatError, match="bad.csv:2"):
+            TraceFile.read(path)
+
+    def test_read_rejects_short_row_with_line_number(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("step,divergence_bits,q_0,q_1\n1,0.5,0.1,0.2\n2,0.5,0.1\n")
+        with pytest.raises(SpecFormatError, match="bad.csv:3: row of width 3 under 4"):
             TraceFile.read(path)
 
     def test_read_requires_header_row(self, tmp_path):

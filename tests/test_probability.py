@@ -5,10 +5,8 @@ import pytest
 
 from rolemodel import (
     ConditionalTable,
-    EstimatorTable,
     Joint3,
     Simplex,
-    StochasticMatrix,
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
@@ -92,32 +90,6 @@ class TestSimplex:
             a.tv_distance(Simplex.uniform(3))
 
 
-class TestStochasticMatrix:
-    def test_from_raw_rows(self):
-        m = StochasticMatrix(((0.75, 0.25), (0.0, 1.0)))
-        assert m.input_size == 2
-        assert m.output_size == 2
-        assert isinstance(m.row(0), Simplex)
-        np.testing.assert_allclose(m.p, [[0.75, 0.25], [0.0, 1.0]])
-
-    def test_rows_are_validated(self):
-        with pytest.raises(DistributionError):
-            StochasticMatrix(((0.5, 0.2), (0.5, 0.5)))
-
-    def test_rejects_ragged_rows(self):
-        with pytest.raises(DimensionError):
-            StochasticMatrix(((0.5, 0.5), (0.2, 0.3, 0.5)))
-
-    def test_rejects_single_row(self):
-        with pytest.raises(DistributionError):
-            StochasticMatrix(((0.5, 0.5),))
-
-    def test_table_immutable(self):
-        m = StochasticMatrix(((0.5, 0.5), (1.0, 0.0)))
-        with pytest.raises(ValueError):
-            m.p[0, 0] = 0.0
-
-
 class TestJoint3:
     def test_shape_properties(self):
         j = random_joint_table(np.random.default_rng(0), (2, 3, 4))
@@ -142,6 +114,45 @@ class TestJoint3:
 
 
 class TestConditionalTable:
+    def test_from_raw_rows(self):
+        m = ConditionalTable(((0.75, 0.25), (0.0, 1.0)))
+        assert m.n_given == 2
+        assert m.n_target == 2
+        assert isinstance(m.row(0), Simplex)
+        np.testing.assert_allclose(m.p, [[0.75, 0.25], [0.0, 1.0]])
+        assert m.defined.tolist() == [True, True]
+
+    def test_rows_are_validated(self):
+        with pytest.raises(DistributionError):
+            ConditionalTable(((0.5, 0.2), (0.5, 0.5)))
+        with pytest.raises(DistributionError):
+            ConditionalTable(((0.5, 0.5), (1.2, -0.2)))
+        with pytest.raises(DistributionError):
+            ConditionalTable(((0.5, 0.5), (np.nan, 1.0)))
+        with pytest.raises(DistributionError):
+            ConditionalTable(((1.0,), (1.0,)))
+
+    def test_rows_normalized_like_simplex(self):
+        rng = np.random.default_rng(3)
+        cells = rng.standard_exponential((20, 9))
+        raw = cells / cells.sum(axis=1, keepdims=True)
+        table = ConditionalTable(raw)
+        for i in range(raw.shape[0]):
+            np.testing.assert_array_equal(table.p[i], Simplex(raw[i]).probs)
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(DimensionError):
+            ConditionalTable(((0.5, 0.5), (0.2, 0.3, 0.5)))
+
+    def test_table_immutable(self):
+        m = ConditionalTable(((0.5, 0.5), (1.0, 0.0)))
+        with pytest.raises(ValueError):
+            m.p[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            m.defined[0] = False
+        with pytest.raises(ValueError):
+            m.row(0).probs[0] = 0.0
+
     def test_undefined_row_access(self):
         t = ConditionalTable((Simplex([0.5, 0.5]), None))
         assert t.n_given == 2
@@ -149,11 +160,15 @@ class TestConditionalTable:
         with pytest.raises(UndefinedConditionalError):
             t.row(1)
 
-    def test_defined_items_and_as_array(self):
+    def test_undefined_rows_hold_nan(self):
         t = ConditionalTable((None, Simplex([0.25, 0.75])))
-        assert t.defined_items() == [(1, t.rows[1])]
-        arr = t.as_array(fill=-1.0)
-        np.testing.assert_allclose(arr, [[-1.0, -1.0], [0.25, 0.75]])
+        assert t.defined.tolist() == [False, True]
+        assert t.rows[0] is None
+        np.testing.assert_array_equal(t.p, [[np.nan, np.nan], [0.25, 0.75]])
+        # an all-NaN row of an array reads as undefined, so tables round-trip
+        again = ConditionalTable(t.p)
+        assert again.defined.tolist() == [False, True]
+        np.testing.assert_array_equal(again.p, t.p)
 
     def test_requires_a_defined_row(self):
         with pytest.raises(DistributionError):
@@ -174,10 +189,10 @@ class TestConditionalTable:
         assert a.tv_distance(b) == math.inf
 
     def test_estimator_uniform(self):
-        est = EstimatorTable.uniform(3, 2)
+        est = ConditionalTable.uniform(3, 2)
         assert est.n_given == 3
-        for _, row in est.defined_items():
-            np.testing.assert_allclose(row.probs, [0.5, 0.5])
+        assert est.defined.all()
+        np.testing.assert_allclose(est.p, np.full((3, 2), 0.5))
 
 
 class TestEntropy:

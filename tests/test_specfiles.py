@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rolemodel import (
-    EstimatorTable,
+    ConditionalTable,
     Simplex,
     direct_solution,
     sample_arrays,
@@ -125,7 +125,7 @@ class TestEstimatorFiles:
             assert tuple(a.probs) == tuple(b.probs)
 
     def test_undefined_rows_survive(self, tmp_path):
-        est = EstimatorTable((Simplex([0.25, 0.75]), None))
+        est = ConditionalTable((Simplex([0.25, 0.75]), None))
         path = tmp_path / "est.txt"
         write_estimator(path, est)
         back = read_estimator(path)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from rolemodel import (
-    EstimatorTable,
+    ConditionalTable,
     RoleModelOracle,
     SampleTriple,
     Simplex,
-    StochasticMatrix,
     TrainerConfig,
     TrainerState,
     X_AXIS,
@@ -46,13 +45,13 @@ def oracle_b(joint_b):
 @pytest.fixture(scope="module")
 def joint_ternary():
     """3-symbol source, so training exercises the projection path."""
-    xy = StochasticMatrix([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
-    yz = StochasticMatrix([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
+    xy = ConditionalTable([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+    yz = ConditionalTable([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
     return build_joint(Simplex.uniform(3), xy, yz)
 
 
 def binary_state(p_rows, window, buffer=()):
-    est = EstimatorTable(tuple(Simplex((p, 1.0 - p)) for p in p_rows))
+    est = ConditionalTable(tuple(Simplex((p, 1.0 - p)) for p in p_rows))
     return TrainerState(est, window, buffer)
 
 
@@ -78,8 +77,8 @@ class TestOracle:
 
     def test_zero_mass_y_rejected(self):
         # middle y never occurs
-        xy = StochasticMatrix([[0.5, 0.0, 0.5], [0.5, 0.0, 0.5]])
-        yz = StochasticMatrix([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
+        xy = ConditionalTable([[0.5, 0.0, 0.5], [0.5, 0.0, 0.5]])
+        yz = ConditionalTable([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
         joint = build_joint(Simplex.uniform(2), xy, yz)
         with pytest.raises(UndefinedConditionalError):
             RoleModelOracle.from_joint(joint)
@@ -105,6 +104,11 @@ class TestConfig:
             {"n_samples": 10, "step_size_tau": 0.0},
             {"n_samples": 10, "clamp_epsilon": 0.0},
             {"n_samples": 10, "clamp_epsilon": 0.5},
+            {"n_samples": 10, "step_size_initial": math.nan},
+            {"n_samples": 10, "step_size_initial": math.inf},
+            {"n_samples": 10, "step_size_tau": math.nan},
+            {"n_samples": 10, "step_size_tau": math.inf},
+            {"n_samples": 10, "clamp_epsilon": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -116,14 +120,14 @@ class TestConfig:
         assert cfg.start_step == 6
 
     def test_init_rows_must_be_defined(self):
-        est = EstimatorTable((Simplex([0.5, 0.5]), None))
+        est = ConditionalTable((Simplex([0.5, 0.5]), None))
         with pytest.raises(DistributionError):
             TrainerConfig(n_samples=10, init=est)
 
 
 class TestState:
     def test_rejects_undefined_rows(self):
-        est = EstimatorTable((None, Simplex([0.5, 0.5])))
+        est = ConditionalTable((None, Simplex([0.5, 0.5])))
         with pytest.raises(DistributionError):
             TrainerState(est, 10)
 
@@ -177,7 +181,7 @@ class TestWindowedDivergence:
     def test_matches_direct_recompute_ternary(self, joint_ternary):
         oracle = RoleModelOracle.from_joint(joint_ternary)
         cfg = TrainerConfig(n_samples=1500, seed=5, window=40, start_step=41)
-        state = TrainerState(EstimatorTable.uniform(2, 3), 40)
+        state = TrainerState(ConditionalTable.uniform(2, 3), 40)
         _, ys, zs = sample_arrays(joint_ternary, cfg.seed, cfg.n_samples)
         for k, pair in enumerate(zip(ys.tolist(), zs.tolist())):
             train_step(state, pair, cfg, oracle)
@@ -234,10 +238,10 @@ class TestWindowedGradient:
             (int(rng.integers(0, 3)), int(rng.integers(0, 2))) for _ in range(25)
         ]
         cells = rng.uniform(0.1, 1.0, size=(2, 3))
-        est = EstimatorTable(tuple(Simplex(r / r.sum()) for r in cells))
+        est = ConditionalTable(tuple(Simplex(r / r.sum()) for r in cells))
         state = TrainerState(est, 25, buffer=pairs)
         grad = windowed_gradient(state, oracle)
-        q = est.as_array()
+        q = est.p
         want = np.zeros((2, 3))
         for y, z in pairs:
             want[z] -= oracle.posterior_xy.row(y).probs / q[z]
@@ -348,7 +352,7 @@ class TestTrainRun:
 
     def test_noiseless_pair_pins_to_clamp(self):
         # y = z = x exactly: the best in-clamp estimate is 1 - epsilon
-        ident = StochasticMatrix([[1.0, 0.0], [0.0, 1.0]])
+        ident = ConditionalTable([[1.0, 0.0], [0.0, 1.0]])
         joint = build_joint(Simplex([0.5, 0.5]), ident, ident)
         oracle = RoleModelOracle.from_joint(joint)
         state = train_run(joint, TrainerConfig(n_samples=1500, seed=0), oracle)
@@ -358,8 +362,8 @@ class TestTrainRun:
 
     def test_pure_noise_z_learns_the_prior(self):
         # z carries nothing, so the best guess is the source marginal
-        xy = StochasticMatrix([[1.0, 0.0], [0.2, 0.8]])
-        yz = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
+        xy = ConditionalTable([[1.0, 0.0], [0.2, 0.8]])
+        yz = ConditionalTable([[0.5, 0.5], [0.5, 0.5]])
         joint = build_joint(Simplex([0.3, 0.7]), xy, yz)
         oracle = RoleModelOracle.from_joint(joint)
         state = train_run(joint, TrainerConfig(n_samples=60_000, seed=1), oracle)
