@@ -358,10 +358,13 @@ def check_theorem2(
     """
     direct = direct_solution(joint)
     _check_estimator(joint, estimator, direct.defined)
-    pyz = marginal_yz(joint)[:, :, None]
+    pyz = marginal_yz(joint)
     cells = np.moveaxis(joint.p, X_AXIS, -1)  # (y, z, x)
-    posteriors = np.divide(cells, pyz, out=np.full(cells.shape, math.nan), where=pyz > 0.0)
-    lhs = _weighted_divergence(pyz[:, :, 0], posteriors, estimator.p[None, :, :]).sum()
+    mass = pyz[:, :, None]
+    posteriors = np.divide(
+        cells, mass, out=np.full(cells.shape, math.nan), where=mass > 0.0
+    )
+    lhs = _weighted_divergence(pyz, posteriors, estimator.p[None, :, :]).sum()
 
     rhs = conditional_entropy(joint, X_AXIS, Z_AXIS) - conditional_entropy(
         joint, X_AXIS, (Y_AXIS, Z_AXIS)

@@ -185,7 +185,7 @@ def read_estimator(path) -> ConditionalTable:
     if not rows:
         raise SpecFormatError(f"{path}: no row_<i> keys found")
     return ConditionalTable(
-        [None if value == "undefined" else _reals(value, path, lineno) for value, lineno in rows]
+        [None if v == "undefined" else _reals(v, path, lineno) for v, lineno in rows]
     )
 
 

@@ -3,10 +3,10 @@ import pytest
 
 from rolemodel import (
     ChannelSpec,
+    ConditionalTable,
     Joint3,
     SampleTriple,
     Simplex,
-    ConditionalTable,
     X_AXIS,
     Z_AXIS,
     bec,

@@ -195,7 +195,9 @@ class TestTrainEvaluate:
         assert abs(payload["gap_bits"]) <= 1e-9
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
-    def test_evaluate_bad_tolerance_is_usage_error(self, tmp_path, spec_path, capsys, value):
+    def test_evaluate_bad_tolerance_is_usage_error(
+        self, tmp_path, spec_path, capsys, value
+    ):
         est_path = tmp_path / "direct.txt"
         write_estimator(est_path, direct_solution(scenario_b().joint()))
         code, _ = run(capsys, "evaluate", spec_path, est_path, "--tolerance", value)

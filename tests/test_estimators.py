@@ -136,6 +136,36 @@ class TestExpectedDivergence:
                             )
             assert expected_divergence(j, est).total == pytest.approx(acc, abs=1e-10)
 
+    def test_zero_mass_symbols_match_term_by_term(self):
+        # a y and a z that never occur, plus scattered zero cells: undefined
+        # rows must contribute nothing and 0 * NaN must not leak into sums
+        rng = np.random.default_rng(113)
+        for _ in range(20):
+            cells = rng.standard_exponential((3, 4, 3)) * (rng.random((3, 4, 3)) < 0.7)
+            cells[:, 1, :] = 0.0
+            cells[:, :, 2] = 0.0
+            cells[0, 0, 0] = cells[1, 2, 1] = 1.0
+            j = Joint3(cells / cells.sum())
+            rows = rng.uniform(0.05, 1.0, size=(2, 3))
+            est = ConditionalTable([r / r.sum() for r in rows] + [None])
+            p = j.p
+            pyz = p.sum(axis=0)
+            post = conditional(j, X_AXIS, 1)
+            live = [(y, z) for y in range(4) for z in range(3) if pyz[y, z] > 0]
+            want = sum(pyz[y, z] * kl_divergence(post.row(y), est.row(z)) for y, z in live)
+            assert expected_divergence(j, est).total == pytest.approx(want, abs=1e-12)
+            want = sum(
+                pyz[y, z] * kl_divergence(Simplex(p[:, y, z] / pyz[y, z]), est.row(z))
+                for y, z in live
+            )
+            assert check_theorem2(j, est).lhs == pytest.approx(want, abs=1e-12)
+            exact = role_model_exact(j)
+            assert exact.rows[2] is None
+            for z in range(2):
+                w = pyz[:, z] / pyz[:, z].sum()
+                mix = sum(w[y] * post.row(y).probs for y in range(4) if w[y] > 0)
+                np.testing.assert_allclose(exact.row(z).probs, mix, atol=1e-14)
+
     def test_infinite_when_estimator_lacks_support(self, joint_a):
         est = ConditionalTable((Simplex([1.0, 0.0]), Simplex([1.0, 0.0])))
         assert expected_divergence(joint_a, est).total == math.inf
