@@ -47,9 +47,10 @@ Q0_B = 0.425 / 0.5875           # = 34/47
 Q1_B = 0.3375 / 0.4125          # = 9/11
 ED_OPT_B = 0.5319936433323948   # H(X|Z) - H(X|Y) on the erasure scenario
 
-# Golden sha256 digests of two training trajectories (Python 3.11.7,
+# Golden sha256 digests of three training trajectories (Python 3.11.7,
 # numpy 2.4.6). A changed digest is a behaviour change, not noise.
 EXAMPLE_B_TRACE_DIGEST = "72a3e7694d6a68bb473609cc8b97ca3cc32364d698c2320220d9adae6766f0ec"
+CLAMPED_TRACE_DIGEST = "a9a05de7aa791d5c13f98d817535d6e5fc5fee2e49f6400d012b06f3fb93b2ec"
 TERNARY_RUN_DIGEST = "add76e5f468d8afa3b29d96d668cb2f1381236de660f110619d1359bc5cf9730"
 
 
@@ -217,13 +218,13 @@ def test_09_merging_equal_posteriors_loses_nothing():
 
 
 def test_10_identical_seeds_give_identical_traces(tmp_path):
-    def trace_digest(directory):
+    def trace_digest(directory, seed=11, samples=2000, *extra):
         code = cli_main(
-            ["example-b", "--out", str(directory), "--seed", "11",
-             "--samples", "2000", "--tolerance", "1.0"]
+            ["example-b", "--out", str(directory), "--seed", str(seed),
+             "--samples", str(samples), "--tolerance", "1.0", *extra]
         )
         assert code == 0
-        payload = (directory / "example_b_seed11_trace.csv").read_bytes()
+        payload = (directory / f"example_b_seed{seed}_trace.csv").read_bytes()
         kept = [
             line for line in payload.split(b"\n")
             if not line.startswith(b"# timestamp")
@@ -234,6 +235,11 @@ def test_10_identical_seeds_give_identical_traces(tmp_path):
     second = trace_digest(tmp_path / "second")
     assert first == second
     assert first == EXAMPLE_B_TRACE_DIGEST
+
+    # a large step drives the parameters onto the clamp thousands of
+    # times, so this digest guards the clamp and projection path
+    clamped = trace_digest(tmp_path / "clamped", 9, 20000, "--eta0", "2.0")
+    assert clamped == CLAMPED_TRACE_DIGEST
 
     # the n-ary projection path, on the joint_ternary joint of test_training
     xy = to_matrix(general_channel([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
