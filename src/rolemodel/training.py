@@ -27,18 +27,25 @@ default eps = 1e-2 satisfies this for the default schedule with room to
 spare; lower it only together with the step size, and keep it below
 every probability the optimum actually uses.
 
-Binary X is the common case and reduces exactly to one free parameter
-per z-symbol, q_z = q(0|z); that path runs in plain Python floats.
-Larger X alphabets take an additive step in all coordinates followed by
-Euclidean projection onto the epsilon-interior of the simplex.
+One update rule serves every X alphabet. Row z keeps nx - 1 free
+entries q(j|z), j < nx - 1; its last entry is 1 minus their sum. With
+w_k the window's posterior mass on x = k among samples with this z,
+each free entry moves by -eta * G[z, j], where
 
-The windowed statistics are maintained incrementally: per z-symbol sums
-of reference-posterior rows plus one negative-entropy accumulator, so a
-training step costs O(nx) regardless of the window length. Linearity
-of the average in the window's samples makes the incremental and direct
-computations agree; when the last sample of a z-symbol leaves the
-window its sums are reset to exact zeros, so no drift survives an empty
-group.
+    G[z, j] = mean over k != j of (w_k / q_k - w_j / q_j) / (m ln 2)
+
+is the derivative in q(j|z) when the rest of the row pays evenly: the
+gradient projected onto sum(q) = 1 and scaled by nx / (nx - 1), so that
+at nx = 2 it is the full derivative in q(0|z), not half of it. A row
+with an entry below eps is projected exactly onto the epsilon-interior
+of the simplex (Duchi et al. 2008), at nx = 2 the clamp to [eps, 1-eps].
+
+The state is flat lists of plain floats, kept incrementally: estimator
+entries, per z-symbol window sums of posterior rows and one
+negative-entropy accumulator, so a window slide costs O(nx). A
+z-symbol's sums are reset to exact zeros when its last sample leaves,
+so no drift survives an empty group. At nx = 2 the window and row
+updates run unrolled, with the generic loops' float operations.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .channels import SampleTriple, sample_arrays
+from .channels import sample_arrays
 from .errors import (
     DimensionError,
     DistributionError,
@@ -60,6 +67,7 @@ from .errors import (
 from .probability import ConditionalTable, Joint3, X_AXIS, Y_AXIS, conditional
 
 _LN2 = math.log(2.0)
+_ON_BOUNDARY = "estimator parameter on the boundary, gradient undefined"
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +166,10 @@ class TrainerState:
         self.param_trace = []
         self._nz = est.n_given
         self._nx = est.n_target
-        self._binary = self._nx == 2
-        if self._binary:
-            self._p = est.p[:, 0].tolist()
-        else:
-            self._q = np.array(est.p)
+        self._q = [v for row in est.p.tolist() for v in _complete(row[:-1])]
+        unrolled = self._nx == 2
+        self._slide = _slide2 if unrolled else _slide
+        self._update = _update_rows2 if unrolled else _update_rows
         # aggregate cache, rebuilt whenever the oracle object changes
         self._oracle_token = None
         for pair in buffer:
@@ -173,20 +180,11 @@ class TrainerState:
 
     @property
     def est(self) -> ConditionalTable:
-        if self._binary:
-            p = np.array(self._p)
-            return ConditionalTable(np.column_stack((p, 1.0 - p)))
-        return ConditionalTable(self._q)
+        return ConditionalTable(np.array(self._q).reshape(self._nz, self._nx))
 
     def params(self) -> tuple:
         """Current estimator entries, flattened row-major."""
-        if self._binary:
-            out = []
-            for p in self._p:
-                out.append(p)
-                out.append(1.0 - p)
-            return tuple(out)
-        return tuple(float(v) for v in self._q.ravel())
+        return tuple(self._q)
 
     # -- window aggregates ------------------------------------------------
 
@@ -198,17 +196,11 @@ class TrainerState:
         table = oracle.posterior_xy.p
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.where(table > 0.0, np.log2(np.maximum(table, 1e-300)), 0.0)
-        negent = (table * logs).sum(axis=1)
-        if self._binary:
-            self._r0 = [float(v) for v in table[:, 0]]
-            self._r1 = [float(v) for v in table[:, 1]]
-            self._ng = [float(v) for v in negent]
-            self._w0 = [0.0] * self._nz
-            self._w1 = [0.0] * self._nz
-        else:
-            self._rows = table
-            self._ng = negent
-            self._w = np.zeros((self._nz, self._nx))
+        self._ng = (table * logs).sum(axis=1).tolist()
+        self._rows = table.ravel().tolist()
+        # eviction adds the negated rows: w + (-r) is exactly w - r
+        self._minus_rows = [-v for v in self._rows]
+        self._w = [0.0] * (self._nz * self._nx)
         self._count = [0] * self._nz
         self._neg = 0.0
         self._oracle_token = oracle
@@ -224,35 +216,38 @@ class TrainerState:
             raise DimensionError(f"y symbol {y} outside the oracle alphabet")
         buf = self.window_buffer
         buf.append((y, z))
-        if self._binary:
-            self._w0[z] += self._r0[y]
-            self._w1[z] += self._r1[y]
-        else:
-            self._w[z] += self._rows[y]
+        nx = self._nx
+        self._slide(self._w, self._rows, z * nx, y * nx, nx)
         self._neg += self._ng[y]
         self._count[z] += 1
         if evict and len(buf) > self.window:
             oy, oz = buf.popleft()
-            if self._binary:
-                self._w0[oz] -= self._r0[oy]
-                self._w1[oz] -= self._r1[oy]
-            else:
-                self._w[oz] -= self._rows[oy]
+            self._slide(self._w, self._minus_rows, oz * nx, oy * nx, nx)
             self._neg -= self._ng[oy]
             self._count[oz] -= 1
             if self._count[oz] == 0:
                 # reset exact zeros so no rounding residue outlives the group
-                if self._binary:
-                    self._w0[oz] = 0.0
-                    self._w1[oz] = 0.0
-                else:
-                    self._w[oz].fill(0.0)
+                self._w[oz * nx:(oz + 1) * nx] = [0.0] * nx
+
+
+def _slide(w: list, rows: list, wi: int, ri: int, nx: int):
+    # add row ri of rows into window sum wi
+    for k in range(nx):
+        w[wi + k] += rows[ri + k]
+
+
+def _slide2(w: list, rows: list, wi: int, ri: int, nx: int):
+    w[wi] += rows[ri]
+    w[wi + 1] += rows[ri + 1]
+
+
+def _complete(free: list) -> list:
+    """A full row from its free entries: the last is 1 minus their sum."""
+    return free + [1.0 - math.fsum(free)]
 
 
 def _coerce_sample(sample) -> tuple:
-    if isinstance(sample, SampleTriple):
-        return int(sample.y), int(sample.z)
-    if len(sample) == 3:  # a triple: x is deliberately ignored
+    if len(sample) == 3:  # a triple, SampleTriple or plain: x is deliberately ignored
         return int(sample[1]), int(sample[2])
     y, z = sample
     return int(y), int(z)
@@ -271,79 +266,96 @@ def windowed_divergence(state: TrainerState, oracle: RoleModelOracle) -> float:
     if m == 0:
         raise EmptyWindowError("the window holds no samples yet")
     acc = state._neg
-    if state._binary:
-        for z in range(state._nz):
-            w0 = state._w0[z]
-            w1 = state._w1[z]
-            p = state._p[z]
-            if w0 != 0.0:
-                if p <= 0.0:
-                    return math.inf
-                acc -= w0 * math.log2(p)
-            if w1 != 0.0:
-                if p >= 1.0:
-                    return math.inf
-                acc -= w1 * math.log2(1.0 - p)
-    else:
-        w = state._w
-        q = state._q
-        if np.any((w > 0.0) & (q <= 0.0)):
-            return math.inf
-        mask = (w != 0.0) & (q > 0.0)
-        acc -= float((w[mask] * np.log2(q[mask])).sum())
+    try:
+        for w, q in zip(state._w, state._q):
+            if w:
+                acc -= w * math.log2(q)
+    except ValueError:  # log2 of an entry <= 0 that the window needs
+        return math.inf
     return acc / m
 
 
 def windowed_gradient(state: TrainerState, oracle: RoleModelOracle) -> np.ndarray:
     """Exact gradient of the windowed divergence in the free parameters.
 
-    Binary X: shape (nz,), the derivative in q_z = q(0|z). Larger X:
-    shape (nz, nx), the raw partials in every entry. A z-symbol absent
-    from the window contributes an exactly zero component.
+    Shape (nz * (nx - 1),): entry z * (nx - 1) + j is G[z, j] of the
+    module docstring, the derivative in q(j|z) when the rest of row z
+    pays evenly; binary X gives shape (nz,), the derivative in q(0|z).
+    A z-symbol absent from the window contributes exact zeros; a row the
+    window uses with an entry on the boundary raises DistributionError.
     """
     state._ensure(oracle)
-    if not state.window_buffer:
+    m = len(state.window_buffer)
+    if m == 0:
         raise EmptyWindowError("the window holds no samples yet")
-    if state._binary:
-        return np.array(_gradient_binary(state), dtype=float)
-    m = len(state.window_buffer)
-    q = state._q
-    if np.any((state._w > 0.0) & (q <= 0.0)):
-        raise DistributionError("estimator parameter on the boundary, gradient undefined")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grad = np.where(state._w != 0.0, -state._w / np.maximum(q, 1e-300), 0.0)
-    return grad / (m * _LN2)
-
-
-def _gradient_binary(state: TrainerState) -> list:
-    m = len(state.window_buffer)
     scale = m * _LN2
-    out = []
+    return np.array([g for z in range(state._nz) for g in _row_gradient(state, z, scale)])
+
+
+def _row_gradient(state: TrainerState, z: int, scale: float) -> list:
+    # G[z, j] for the free entries of row z; scale = m ln 2
+    nx = state._nx
+    if not state._count[z]:
+        return [0.0] * (nx - 1)
+    i = z * nx
+    q = state._q[i:i + nx]
+    if min(q) <= 0.0:
+        raise DistributionError(_ON_BOUNDARY)
+    r = [w / v for w, v in zip(state._w[i:i + nx], q)]
+    d = nx - 1
+    return [(math.fsum(r[:j] + r[j + 1:]) / d - r[j]) / scale for j in range(d)]
+
+
+def _update_rows(state: TrainerState, eta: float, eps: float):
+    nx, q = state._nx, state._q
+    scale = len(state.window_buffer) * _LN2
     for z in range(state._nz):
-        w0 = state._w0[z]
-        w1 = state._w1[z]
-        if w0 == 0.0 and w1 == 0.0:
-            out.append(0.0)
-            continue
-        p = state._p[z]
-        if p <= 0.0 or p >= 1.0:
-            raise DistributionError(
-                "estimator parameter on the boundary, gradient undefined"
-            )
-        out.append((w1 / (1.0 - p) - w0 / p) / scale)
+        i = z * nx
+        grad = _row_gradient(state, z, scale)
+        row = _complete([q[i + j] - eta * g for j, g in enumerate(grad)])
+        if min(row) < eps:
+            row = _complete(_project(row, eps)[:-1])
+        q[i:i + nx] = row
+
+
+def _update_rows2(state: TrainerState, eta: float, eps: float):
+    # _update_rows at nx = 2, unrolled into the same float operations
+    w, q, count = state._w, state._q, state._count
+    scale = len(state.window_buffer) * _LN2
+    for z in range(state._nz):
+        i = 2 * z
+        v = q[i]
+        if count[z]:
+            if v <= 0.0 or q[i + 1] <= 0.0:
+                raise DistributionError(_ON_BOUNDARY)
+            v -= eta * ((w[i + 1] / q[i + 1] - w[i] / v) / scale)
+        if v < eps:
+            v = eps
+        elif 1.0 - v < eps:
+            v = 1.0 - eps
+        q[i], q[i + 1] = v, 1.0 - v
+
+
+def _project(row: list, eps: float) -> list:
+    """Euclidean projection of a row summing to 1 onto {q >= eps, sum(q) = 1}.
+
+    Pins entries at eps pass by pass until the shift theta of the rest
+    pins no more (Michelot 1986). The last unpinned entry is 1 minus the
+    others, not v - theta, which rounds when v is large.
+    """
+    n = len(row)
+    active = [k for k in range(n) if row[k] >= eps]
+    while True:
+        excess = math.fsum(row[k] for k in active) - 1.0 + eps * (n - len(active))
+        theta = excess / len(active)
+        keep = [k for k in active if row[k] - theta > eps]
+        if not keep or len(keep) == len(active):
+            break
+        active = keep
+    out = [row[k] - theta if k in active else eps for k in range(n)]
+    out[active[-1]] = 0.0
+    out[active[-1]] = 1.0 - math.fsum(out)
     return out
-
-
-def _project_interior(v: np.ndarray, eps: float) -> np.ndarray:
-    # Euclidean projection onto {q : q >= eps, sum(q) = 1}
-    radius = 1.0 - eps * v.size
-    u = v - eps
-    s = np.sort(u)[::-1]
-    css = np.cumsum(s) - radius
-    idx = np.arange(1, u.size + 1)
-    rho = idx[(s * idx) > css][-1]
-    theta = css[rho - 1] / rho
-    return eps + np.maximum(u - theta, 0.0)
 
 
 def train_step(
@@ -368,28 +380,11 @@ def train_step(
     symbol = state.step + 1
     state._add(y, z)
     if symbol >= config.start_step:
-        eta = config.step_size_initial / (1.0 + state.updates / config.step_size_tau)
         eps = config.clamp_epsilon
-        if state._binary:
-            grads = _gradient_binary(state)
-            p = state._p
-            hi = 1.0 - eps
-            for i, g in enumerate(grads):
-                v = p[i] - eta * g
-                if v < eps:
-                    v = eps
-                elif v > hi:
-                    v = hi
-                p[i] = v
-        else:
-            if eps * state._nx >= 1.0:
-                raise DistributionError(
-                    "clamp_epsilon too large for this X alphabet"
-                )
-            grad = windowed_gradient(state, oracle)
-            raw = state._q - eta * grad
-            for i in range(state._nz):
-                state._q[i] = _project_interior(raw[i], eps)
+        if eps * state._nx >= 1.0:
+            raise DistributionError("clamp_epsilon too large for this X alphabet")
+        eta = config.step_size_initial / (1.0 + state.updates / config.step_size_tau)
+        state._update(state, eta, eps)
         state.updates += 1
     state.step = symbol
     if symbol >= state.window:
@@ -411,9 +406,14 @@ def train_run(
     The run must contain at least config.start_step samples. The
     estimator starts at config.init when given, else uniform rows; for
     a stream source without init, the z alphabet is taken to be
-    0..max(z) observed.
+    0..max(z) observed. An init whose row count differs from a Joint3
+    source's z alphabet raises DimensionError.
     """
     if isinstance(source, Joint3):
+        if config.init is not None and config.init.n_given != source.nz:
+            raise DimensionError(
+                f"init has {config.init.n_given} rows, the source {source.nz} z-symbols"
+            )
         _, ys, zs = sample_arrays(source, config.seed, config.n_samples)
         pairs = list(zip(ys.tolist(), zs.tolist()))
         nz = source.nz
@@ -425,9 +425,8 @@ def train_run(
             f"need at least start_step = {config.start_step} samples, "
             f"got {len(pairs)}"
         )
-    if config.init is not None:
-        est = config.init
-    else:
+    est = config.init
+    if est is None:
         est = ConditionalTable.uniform(nz, oracle.n_x)
     state = TrainerState(est, config.window)
     for pair in pairs:

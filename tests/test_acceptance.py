@@ -51,7 +51,7 @@ ED_OPT_B = 0.5319936433323948   # H(X|Z) - H(X|Y) on the erasure scenario
 # numpy 2.4.6). A changed digest is a behaviour change, not noise.
 EXAMPLE_B_TRACE_DIGEST = "72a3e7694d6a68bb473609cc8b97ca3cc32364d698c2320220d9adae6766f0ec"
 CLAMPED_TRACE_DIGEST = "a9a05de7aa791d5c13f98d817535d6e5fc5fee2e49f6400d012b06f3fb93b2ec"
-TERNARY_RUN_DIGEST = "add76e5f468d8afa3b29d96d668cb2f1381236de660f110619d1359bc5cf9730"
+TERNARY_RUN_DIGEST = "cd2a70e7452c8639d835af109a0d592cdc548e55d1b2ba18acb24654c30566ba"
 
 
 def binary_entropy(p):
@@ -241,7 +241,7 @@ def test_10_identical_seeds_give_identical_traces(tmp_path):
     clamped = trace_digest(tmp_path / "clamped", 9, 20000, "--eta0", "2.0")
     assert clamped == CLAMPED_TRACE_DIGEST
 
-    # the n-ary projection path, on the joint_ternary joint of test_training
+    # the generic kernels, on the joint_ternary joint of test_training
     xy = to_matrix(general_channel([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
     yz = to_matrix(general_channel([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]))
     joint = build_joint(Simplex.uniform(3), xy, yz)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rolemodel import training
 from rolemodel import (
     ConditionalTable,
     RoleModelOracle,
@@ -53,6 +55,14 @@ def joint_ternary():
 def binary_state(p_rows, window, buffer=()):
     est = ConditionalTable(tuple(Simplex((p, 1.0 - p)) for p in p_rows))
     return TrainerState(est, window, buffer)
+
+
+def stochastic_rows(n, nx):
+    """n random interior rows over nx symbols, each entry at least 0.05 / nx."""
+    cells = st.lists(st.floats(0.05, 1.0), min_size=nx, max_size=nx)
+    return st.lists(cells, min_size=n, max_size=n).map(
+        lambda rows: np.array(rows) / np.sum(rows, axis=1, keepdims=True)
+    )
 
 
 def direct_divergence(state, oracle):
@@ -242,11 +252,71 @@ class TestWindowedGradient:
         state = TrainerState(est, 25, buffer=pairs)
         grad = windowed_gradient(state, oracle)
         q = est.p
-        want = np.zeros((2, 3))
+        ratio = np.zeros((2, 3))  # window sum of P(x|y_i) / q(x|z_i) per z
         for y, z in pairs:
-            want[z] -= oracle.posterior_xy.row(y).probs / q[z]
-        want /= len(pairs) * LN2
+            ratio[z] += oracle.posterior_xy.row(y).probs / q[z]
+        want = [
+            np.mean([ratio[z, k] - ratio[z, j] for k in range(3) if k != j])
+            / (len(pairs) * LN2)
+            for z in range(2)
+            for j in range(2)
+        ]
         np.testing.assert_allclose(grad, want, rtol=1e-10, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), nx=st.sampled_from([2, 3, 4]))
+    def test_finite_differences_any_alphabet(self, data, nx):
+        ny = data.draw(st.integers(1, 4), label="ny")
+        nz = data.draw(st.integers(1, 3), label="nz")
+        oracle = RoleModelOracle(ConditionalTable(data.draw(stochastic_rows(ny, nx))))
+        q = data.draw(stochastic_rows(nz, nx))
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, ny - 1), st.integers(0, nz - 1)),
+                min_size=1,
+                max_size=40,
+            ),
+            label="window",
+        )
+
+        def divergence(table):
+            state = TrainerState(ConditionalTable(table), len(pairs), buffer=pairs)
+            return windowed_divergence(state, oracle)
+
+        state = TrainerState(ConditionalTable(q), len(pairs), buffer=pairs)
+        grad = windowed_gradient(state, oracle)
+        assert grad.shape == (nz * (nx - 1),)
+        grad = grad.reshape(nz, nx - 1)
+        h = 1e-6
+        for z in range(nz):
+            for j in range(nx - 1):
+                # q(j|z) moves by +h, every other entry of row z by -h/(nx-1)
+                bump = np.zeros((nz, nx))
+                bump[z] = -h / (nx - 1)
+                bump[z, j] = h
+                fd = (divergence(q + bump) - divergence(q - bump)) / (2 * h)
+                assert grad[z, j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+
+class TestProjection:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), nx=st.integers(2, 6))
+    def test_is_the_euclidean_projection(self, data, nx):
+        eps = data.draw(st.floats(1e-3, 0.9 / nx), label="eps")
+        free = data.draw(
+            st.lists(st.floats(-3.0, 3.0), min_size=nx - 1, max_size=nx - 1),
+            label="free",
+        )
+        row = free + [1.0 - math.fsum(free)]
+        out = training._project(row, eps)
+        assert math.fsum(out) == pytest.approx(1.0, abs=1e-12)
+        assert min(out) >= eps - 1e-12
+        # optimality: one shift theta carries every entry left above eps,
+        # and every entry pinned at eps would fall to eps or below
+        shifts = [v - o for v, o in zip(row, out) if o != eps]
+        theta = shifts[0]
+        assert all(s == pytest.approx(theta, abs=1e-9) for s in shifts)
+        assert all(v - theta <= eps + 1e-9 for v, o in zip(row, out) if o == eps)
 
 
 class TestTrainStep:
@@ -306,6 +376,21 @@ class TestTrainStep:
             for v in params:
                 assert eps - 1e-15 <= v <= 1.0 - eps + 1e-15
 
+    def test_generic_kernel_matches_unrolled_at_nx2(self, joint_b, oracle_b):
+        # the nx = 2 kernels must repeat the generic kernels' float operations
+        cfg = TrainerConfig(n_samples=20_000, seed=9, step_size_initial=2.0)
+        unrolled = train_run(joint_b, cfg, oracle_b)
+        assert any(
+            v == cfg.clamp_epsilon for _, flat in unrolled.param_trace for v in flat
+        )
+        generic = TrainerState(ConditionalTable.uniform(2, 2), cfg.window)
+        generic._slide, generic._update = training._slide, training._update_rows
+        _, ys, zs = sample_arrays(joint_b, cfg.seed, cfg.n_samples)
+        for pair in zip(ys.tolist(), zs.tolist()):
+            train_step(generic, pair, cfg, oracle_b)
+        assert generic.divergence_trace == unrolled.divergence_trace
+        assert generic.param_trace == unrolled.param_trace
+
     def test_epsilon_infeasible_for_alphabet_rejected(self, joint_ternary):
         oracle = RoleModelOracle.from_joint(joint_ternary)
         cfg = TrainerConfig(n_samples=200, clamp_epsilon=0.4)
@@ -344,6 +429,11 @@ class TestTrainRun:
         a = train_run(joint_b, cfg, oracle_b)
         b = train_run(list(zip(ys.tolist(), zs.tolist())), cfg, oracle_b)
         assert a.param_trace == b.param_trace
+
+    def test_init_with_wrong_row_count_rejected(self, joint_b, oracle_b):
+        cfg = TrainerConfig(n_samples=500, init=ConditionalTable.uniform(3, 2))
+        with pytest.raises(DimensionError):
+            train_run(joint_b, cfg, oracle_b)
 
     def test_too_short_run_rejected(self, joint_b, oracle_b):
         cfg = TrainerConfig(n_samples=100, window=100, start_step=101)
