@@ -34,7 +34,14 @@ from .estimators import (
     role_model_exact,
     role_model_numeric,
 )
-from .experiments import Scenario, run_figure_traces, random_joint, scenario_a, scenario_b
+from .experiments import (
+    Scenario,
+    _free_params,
+    random_joint,
+    run_figure_traces,
+    scenario_a,
+    scenario_b,
+)
 from .probability import ConditionalTable, Simplex, entropy
 from .specfiles import read_estimator, read_samples, read_scenario, write_estimator
 from .training import RoleModelOracle, TrainerConfig, train_run
@@ -182,20 +189,25 @@ def cmd_example_b(args) -> int:
     trace_path = out_dir / f"example_b_seed{args.seed}_trace.csv"
     trace = run_figure_traces(sc, config, trace_path)
 
+    # every free-parameter column of the trace against the same entry of
+    # the exact posterior
     expected = sc.expected_posterior
-    want_q0 = float(expected.row(0).probs[0])
-    want_q1 = float(expected.row(1).probs[1])
+    names = trace.columns[2:]
     final = trace.rows[-1]
-    got_q0, got_q1 = float(final[2]), float(final[3])
-    err_q0, err_q1 = abs(got_q0 - want_q0), abs(got_q1 - want_q1)
-    ok = err_q0 <= args.tolerance and err_q1 <= args.tolerance
+    got = dict(zip(names, (float(v) for v in final[2:])))
+    flat = tuple(expected.p.ravel().tolist())
+    want = dict(zip(names, _free_params(flat, expected.n_given, expected.n_target)))
+    err = {name: abs(got[name] - want[name]) for name in names}
+    ok = all(e <= args.tolerance for e in err.values())
 
     lines = [
         f"blind training on {sc.name}: seed {args.seed}, {args.samples} samples",
         f"trace written to {trace_path}",
         "",
-        f"final q_0 = {got_q0:.6f}   exact {want_q0:.6f}   error {err_q0:.6f}",
-        f"final q_1 = {got_q1:.6f}   exact {want_q1:.6f}   error {err_q1:.6f}",
+        *(
+            f"final {name} = {got[name]:.6f}   exact {want[name]:.6f}   error {err[name]:.6f}"
+            for name in names
+        ),
         f"final windowed divergence = {final[1]:.6f} bits",
         "",
         f"{'PASS' if ok else 'FAIL'} trained parameters within {args.tolerance} of the exact posterior",
@@ -205,9 +217,9 @@ def cmd_example_b(args) -> int:
         "seed": args.seed,
         "n_samples": args.samples,
         "trace_path": str(trace_path),
-        "final": {"q_0": got_q0, "q_1": got_q1, "divergence_bits": final[1]},
-        "exact": {"q_0": want_q0, "q_1": want_q1},
-        "errors": {"q_0": err_q0, "q_1": err_q1},
+        "final": {**got, "divergence_bits": final[1]},
+        "exact": want,
+        "errors": err,
         "tolerance": args.tolerance,
         "passed": ok,
     }

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rolemodel import TraceFile, scenario_b
+from rolemodel import TraceFile, bec, build_joint, general_channel, scenario_b, to_matrix
 from rolemodel.cli import main
 from rolemodel.specfiles import write_estimator, write_samples, write_scenario
 from rolemodel.estimators import direct_solution
@@ -101,6 +101,23 @@ class TestExampleB:
         assert code == 0
         payload = json.loads(captured.out)
         assert payload["scenario"] == "example-b-custom"
+
+    def test_three_output_channel_checks_every_row(self, tmp_path, capsys):
+        # three z-symbols give trace columns q_<z>_0, one per estimator row
+        rows = [[0.5, 0.4, 0.1], [0.3, 0.4, 0.3], [0.1, 0.1, 0.8]]
+        code, captured = run(
+            capsys, "example-b", "--out", tmp_path, "--samples", 60000,
+            "--seed", 1, "--tolerance", 0.05, "--json",
+            "--channel", ";".join(",".join(map(str, r)) for r in rows),
+        )
+        payload = json.loads(captured.out)
+        joint = build_joint(
+            scenario_b().prior, to_matrix(bec(0.25)), to_matrix(general_channel(rows))
+        )
+        posterior = direct_solution(joint).p
+        assert payload["exact"] == {f"q_{z}_0": posterior[z, 0] for z in range(3)}
+        assert list(payload["final"]) == ["q_0_0", "q_1_0", "q_2_0", "divergence_bits"]
+        assert payload["passed"] and code == 0
 
     def test_bad_channel_override(self, tmp_path, capsys):
         code, captured = run(
