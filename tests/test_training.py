@@ -263,7 +263,7 @@ class TestWindowedGradient:
         ]
         np.testing.assert_allclose(grad, want, rtol=1e-10, atol=1e-12)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data(), nx=st.sampled_from([2, 3, 4]))
     def test_finite_differences_any_alphabet(self, data, nx):
         ny = data.draw(st.integers(1, 4), label="ny")
@@ -299,7 +299,7 @@ class TestWindowedGradient:
 
 
 class TestProjection:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data(), nx=st.integers(2, 6))
     def test_is_the_euclidean_projection(self, data, nx):
         eps = data.draw(st.floats(1e-3, 0.9 / nx), label="eps")
