@@ -40,7 +40,9 @@ at nx = 2 it is the full derivative in q(0|z), not half of it. A row
 with an entry below eps is projected exactly onto the epsilon-interior
 of the simplex (Duchi et al. 2008), at nx = 2 the clamp to [eps, 1-eps].
 
-The state is flat lists of plain floats, kept incrementally: estimator
+A run has one oracle for its whole life, so a TrainerState is bound to
+it on construction, which builds the window sums from its rows. The
+state is flat lists of plain floats, kept incrementally: estimator
 entries, per z-symbol window sums of posterior rows and one
 negative-entropy accumulator, so a window slide costs O(nx). A
 z-symbol's sums are reset to exact zeros when its last sample leaves,
@@ -145,6 +147,12 @@ class TrainerConfig:
 class TrainerState:
     """Mutable state of one training run; train_step mutates and returns it.
 
+    A run mimics one reference estimator for its whole life, so a state
+    is bound to one ``oracle`` on construction, which checks the oracle's
+    X alphabet against the estimator's (DimensionError when they differ)
+    and builds the window sums. ``buffer`` preseeds the window; only its
+    last ``window`` pairs enter it.
+
     Public surface: ``est`` (the current estimator), ``step`` (samples
     consumed), ``window_buffer`` (the (y, z) pairs currently in the
     window), and the two traces, ``divergence_trace`` holding
@@ -153,11 +161,15 @@ class TrainerState:
     step at which the window is full.
     """
 
-    def __init__(self, est: ConditionalTable, window: int, buffer: Iterable = ()):
+    def __init__(
+        self, est: ConditionalTable, window: int, oracle: RoleModelOracle, buffer: Iterable = ()
+    ):
         if window < 1:
             raise DistributionError("window must be positive")
         if not est.defined.all():
             raise DistributionError("the trained estimator must define every row")
+        if oracle.n_x != est.n_target:
+            raise DimensionError("oracle and estimator disagree on the X alphabet")
         self.window = int(window)
         self.step = 0
         self.updates = 0
@@ -170,29 +182,6 @@ class TrainerState:
         unrolled = self._nx == 2
         self._slide = _slide2 if unrolled else _slide
         self._update = _update_rows2 if unrolled else _update_rows
-        # aggregate cache, rebuilt whenever the oracle object changes
-        self._oracle_token = None
-        for pair in buffer:
-            y, z = _coerce_sample(pair)
-            self.window_buffer.append((y, z))
-            if len(self.window_buffer) > self.window:
-                self.window_buffer.popleft()
-
-    @property
-    def est(self) -> ConditionalTable:
-        return ConditionalTable(np.array(self._q).reshape(self._nz, self._nx))
-
-    def params(self) -> tuple:
-        """Current estimator entries, flattened row-major."""
-        return tuple(self._q)
-
-    # -- window aggregates ------------------------------------------------
-
-    def _ensure(self, oracle: RoleModelOracle):
-        if self._oracle_token is oracle:
-            return
-        if oracle.n_x != self._nx:
-            raise DimensionError("oracle and estimator disagree on the X alphabet")
         table = oracle.posterior_xy.p
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.where(table > 0.0, np.log2(np.maximum(table, 1e-300)), 0.0)
@@ -203,13 +192,19 @@ class TrainerState:
         self._w = [0.0] * (self._nz * self._nx)
         self._count = [0] * self._nz
         self._neg = 0.0
-        self._oracle_token = oracle
-        pairs = list(self.window_buffer)
-        self.window_buffer.clear()
-        for y, z in pairs:
-            self._add(y, z, evict=False)
+        for pair in deque(buffer, maxlen=self.window):
+            self._add(*_coerce_sample(pair))
 
-    def _add(self, y: int, z: int, evict: bool = True):
+    @property
+    def est(self) -> ConditionalTable:
+        return ConditionalTable(np.array(self._q).reshape(self._nz, self._nx))
+
+    def params(self) -> tuple:
+        """Current estimator entries, flattened row-major."""
+        return tuple(self._q)
+
+    def _add(self, y: int, z: int):
+        # the one way into the window: push (y, z), evict past the window
         if not 0 <= z < self._nz:
             raise DimensionError(f"z symbol {z} outside the estimator alphabet")
         if not 0 <= y < len(self._ng):
@@ -220,7 +215,7 @@ class TrainerState:
         self._slide(self._w, self._rows, z * nx, y * nx, nx)
         self._neg += self._ng[y]
         self._count[z] += 1
-        if evict and len(buf) > self.window:
+        if len(buf) > self.window:
             oy, oz = buf.popleft()
             self._slide(self._w, self._minus_rows, oz * nx, oy * nx, nx)
             self._neg -= self._ng[oy]
@@ -253,7 +248,7 @@ def _coerce_sample(sample) -> tuple:
     return int(y), int(z)
 
 
-def windowed_divergence(state: TrainerState, oracle: RoleModelOracle) -> float:
+def windowed_divergence(state: TrainerState) -> float:
     """Average divergence from the reference posterior over the window.
 
     Computed from the incremental aggregates, so it costs O(nz * nx)
@@ -261,7 +256,6 @@ def windowed_divergence(state: TrainerState, oracle: RoleModelOracle) -> float:
     first sample. +inf when a parameter sits on the boundary while the
     window holds mass that needs it.
     """
-    state._ensure(oracle)
     m = len(state.window_buffer)
     if m == 0:
         raise EmptyWindowError("the window holds no samples yet")
@@ -275,7 +269,7 @@ def windowed_divergence(state: TrainerState, oracle: RoleModelOracle) -> float:
     return acc / m
 
 
-def windowed_gradient(state: TrainerState, oracle: RoleModelOracle) -> np.ndarray:
+def windowed_gradient(state: TrainerState) -> np.ndarray:
     """Exact gradient of the windowed divergence in the free parameters.
 
     Shape (nz * (nx - 1),): entry z * (nx - 1) + j is G[z, j] of the
@@ -284,7 +278,6 @@ def windowed_gradient(state: TrainerState, oracle: RoleModelOracle) -> np.ndarra
     A z-symbol absent from the window contributes exact zeros; a row the
     window uses with an entry on the boundary raises DistributionError.
     """
-    state._ensure(oracle)
     m = len(state.window_buffer)
     if m == 0:
         raise EmptyWindowError("the window holds no samples yet")
@@ -358,12 +351,7 @@ def _project(row: list, eps: float) -> list:
     return out
 
 
-def train_step(
-    state: TrainerState,
-    sample,
-    config: TrainerConfig,
-    oracle: RoleModelOracle,
-) -> TrainerState:
+def train_step(state: TrainerState, sample, config: TrainerConfig) -> TrainerState:
     """Consume one observation: slide the window, take one gradient step
     once past the warm-up, and record traces once the window is full.
 
@@ -376,7 +364,6 @@ def train_step(
     if config.window != state.window:
         raise DimensionError("config and state disagree on the window length")
     y, z = _coerce_sample(sample)
-    state._ensure(oracle)
     symbol = state.step + 1
     state._add(y, z)
     if symbol >= config.start_step:
@@ -388,7 +375,7 @@ def train_step(
         state.updates += 1
     state.step = symbol
     if symbol >= state.window:
-        state.divergence_trace.append((symbol, windowed_divergence(state, oracle)))
+        state.divergence_trace.append((symbol, windowed_divergence(state)))
         state.param_trace.append((symbol, state.params()))
     return state
 
@@ -428,7 +415,7 @@ def train_run(
     est = config.init
     if est is None:
         est = ConditionalTable.uniform(nz, oracle.n_x)
-    state = TrainerState(est, config.window)
+    state = TrainerState(est, config.window, oracle)
     for pair in pairs:
-        train_step(state, pair, config, oracle)
+        train_step(state, pair, config)
     return state

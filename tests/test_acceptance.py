@@ -183,16 +183,16 @@ def test_08_windowed_gradient_matches_finite_differences():
 
         def state_at(values):
             est = ConditionalTable(tuple(Simplex((v, 1.0 - v)) for v in values))
-            return TrainerState(est, m, buffer=pairs)
+            return TrainerState(est, m, oracle, buffer=pairs)
 
-        grad = windowed_gradient(state_at(p), oracle)
+        grad = windowed_gradient(state_at(p))
         for z in range(2):
             if all(sz != z for _, sz in pairs):
                 continue
             bump = h * (np.arange(2) == z)
             fd = (
-                windowed_divergence(state_at(p + bump), oracle)
-                - windowed_divergence(state_at(p - bump), oracle)
+                windowed_divergence(state_at(p + bump))
+                - windowed_divergence(state_at(p - bump))
             ) / (2 * h)
             assert grad[z] == pytest.approx(fd, rel=1e-4), f"case seed {81_000 + t}"
 

@@ -52,9 +52,9 @@ def joint_ternary():
     return build_joint(Simplex.uniform(3), xy, yz)
 
 
-def binary_state(p_rows, window, buffer=()):
+def binary_state(p_rows, window, oracle, buffer=()):
     est = ConditionalTable(tuple(Simplex((p, 1.0 - p)) for p in p_rows))
-    return TrainerState(est, window, buffer)
+    return TrainerState(est, window, oracle, buffer)
 
 
 def stochastic_rows(n, nx):
@@ -136,88 +136,94 @@ class TestConfig:
 
 
 class TestState:
-    def test_rejects_undefined_rows(self):
+    def test_rejects_undefined_rows(self, oracle_b):
         est = ConditionalTable((None, Simplex([0.5, 0.5])))
         with pytest.raises(DistributionError):
-            TrainerState(est, 10)
+            TrainerState(est, 10, oracle_b)
+
+    def test_oracle_alphabet_mismatch_rejected(self, joint_ternary):
+        # checked once, on construction, before any sample arrives
+        ternary = RoleModelOracle.from_joint(joint_ternary)
+        with pytest.raises(DimensionError):
+            TrainerState(ConditionalTable.uniform(2, 2), 10, ternary)
 
     def test_buffer_preseed_keeps_last_window(self, oracle_b):
         pairs = [(0, 0), (1, 1), (2, 0), (0, 1), (1, 0)]
-        state = binary_state([0.6, 0.4], 3, buffer=pairs)
+        state = binary_state([0.6, 0.4], 3, oracle_b, buffer=pairs)
         assert list(state.window_buffer) == pairs[-3:]
-        ref = binary_state([0.6, 0.4], 3, buffer=pairs[-3:])
-        assert windowed_divergence(state, oracle_b) == pytest.approx(
-            windowed_divergence(ref, oracle_b), rel=1e-12
+        ref = binary_state([0.6, 0.4], 3, oracle_b, buffer=pairs[-3:])
+        assert windowed_divergence(state) == pytest.approx(
+            windowed_divergence(ref), rel=1e-12
         )
 
-    def test_est_round_trips_params(self):
-        state = binary_state([0.3, 0.8], 5)
+    def test_est_round_trips_params(self, oracle_b):
+        state = binary_state([0.3, 0.8], 5, oracle_b)
         assert state.params() == (0.3, 0.7, 0.8, 1.0 - 0.8)
         assert [r.probs[0] for r in state.est.rows] == [0.3, 0.8]
 
 
 class TestWindowedDivergence:
     def test_empty_window_raises(self, oracle_b):
-        state = binary_state([0.5, 0.5], 10)
+        state = binary_state([0.5, 0.5], 10, oracle_b)
         with pytest.raises(EmptyWindowError):
-            windowed_divergence(state, oracle_b)
+            windowed_divergence(state)
 
     def test_single_sample_is_plain_divergence(self, oracle_b):
-        state = binary_state([0.6, 0.4], 1, buffer=[(0, 1)])
+        state = binary_state([0.6, 0.4], 1, oracle_b, buffer=[(0, 1)])
         want = kl_divergence(oracle_b.posterior_xy.row(0), Simplex([0.4, 0.6]))
-        assert windowed_divergence(state, oracle_b) == pytest.approx(want, rel=1e-12)
+        assert windowed_divergence(state) == pytest.approx(want, rel=1e-12)
 
     def test_zero_when_estimator_matches_lone_posterior(self, oracle_b):
         row = oracle_b.posterior_xy.row(1)
-        state = binary_state([float(row.probs[0])], 4, buffer=[(1, 0)] * 4)
-        assert abs(windowed_divergence(state, oracle_b)) < 1e-12
+        state = binary_state([float(row.probs[0])], 4, oracle_b, buffer=[(1, 0)] * 4)
+        assert abs(windowed_divergence(state)) < 1e-12
 
     def test_boundary_gives_infinity(self, oracle_b):
         # the erasure posterior needs both x-symbols; q starves x=1
-        state = binary_state([1.0], 2, buffer=[(1, 0), (1, 0)])
-        assert windowed_divergence(state, oracle_b) == math.inf
+        state = binary_state([1.0], 2, oracle_b, buffer=[(1, 0), (1, 0)])
+        assert windowed_divergence(state) == math.inf
 
     def test_matches_direct_recompute_binary(self, joint_b, oracle_b):
         cfg = TrainerConfig(n_samples=2500, seed=11, window=60, start_step=61)
-        state = binary_state([0.5, 0.5], 60)
+        state = binary_state([0.5, 0.5], 60, oracle_b)
         _, ys, zs = sample_arrays(joint_b, cfg.seed, cfg.n_samples)
         for k, pair in enumerate(zip(ys.tolist(), zs.tolist())):
-            train_step(state, pair, cfg, oracle_b)
+            train_step(state, pair, cfg)
             if k >= 59 and k % 17 == 0:
-                assert windowed_divergence(state, oracle_b) == pytest.approx(
+                assert windowed_divergence(state) == pytest.approx(
                     direct_divergence(state, oracle_b), abs=1e-9
                 )
 
     def test_matches_direct_recompute_ternary(self, joint_ternary):
         oracle = RoleModelOracle.from_joint(joint_ternary)
         cfg = TrainerConfig(n_samples=1500, seed=5, window=40, start_step=41)
-        state = TrainerState(ConditionalTable.uniform(2, 3), 40)
+        state = TrainerState(ConditionalTable.uniform(2, 3), 40, oracle)
         _, ys, zs = sample_arrays(joint_ternary, cfg.seed, cfg.n_samples)
         for k, pair in enumerate(zip(ys.tolist(), zs.tolist())):
-            train_step(state, pair, cfg, oracle)
+            train_step(state, pair, cfg)
             if k >= 39 and k % 13 == 0:
-                assert windowed_divergence(state, oracle) == pytest.approx(
+                assert windowed_divergence(state) == pytest.approx(
                     direct_divergence(state, oracle), abs=1e-9
                 )
 
 
 class TestWindowedGradient:
     def test_absent_group_component_is_exact_zero(self, oracle_b):
-        state = binary_state([0.5, 0.5], 8, buffer=[(0, 0), (1, 0), (2, 0)])
-        grad = windowed_gradient(state, oracle_b)
+        state = binary_state([0.5, 0.5], 8, oracle_b, buffer=[(0, 0), (1, 0), (2, 0)])
+        grad = windowed_gradient(state)
         assert grad[1] == 0.0
 
     def test_zero_at_window_average_posterior(self, oracle_b):
         pairs = [(0, 0), (1, 0), (2, 0), (0, 0)]
         w0 = sum(float(oracle_b.posterior_xy.row(y).probs[0]) for y, _ in pairs)
-        state = binary_state([w0 / len(pairs), 0.5], 10, buffer=pairs)
-        grad = windowed_gradient(state, oracle_b)
+        state = binary_state([w0 / len(pairs), 0.5], 10, oracle_b, buffer=pairs)
+        grad = windowed_gradient(state)
         assert abs(grad[0]) < 1e-12
 
     def test_boundary_raises(self, oracle_b):
-        state = binary_state([0.0, 0.5], 4, buffer=[(0, 0)])
+        state = binary_state([0.0, 0.5], 4, oracle_b, buffer=[(0, 0)])
         with pytest.raises(DistributionError):
-            windowed_gradient(state, oracle_b)
+            windowed_gradient(state)
 
     def test_finite_differences_binary(self, oracle_b):
         rng = np.random.default_rng(42)
@@ -228,16 +234,16 @@ class TestWindowedGradient:
                 (int(rng.integers(0, 3)), int(rng.integers(0, 2))) for _ in range(m)
             ]
             p = rng.uniform(0.05, 0.95, size=2)
-            state = binary_state(p, m, buffer=pairs)
-            grad = windowed_gradient(state, oracle_b)
+            state = binary_state(p, m, oracle_b, buffer=pairs)
+            grad = windowed_gradient(state)
             for z in range(2):
                 if all(pz != z for _, pz in pairs):
                     continue
-                up = binary_state(p + h * (np.arange(2) == z), m, buffer=pairs)
-                dn = binary_state(p - h * (np.arange(2) == z), m, buffer=pairs)
+                up = binary_state(p + h * (np.arange(2) == z), m, oracle_b, buffer=pairs)
+                dn = binary_state(p - h * (np.arange(2) == z), m, oracle_b, buffer=pairs)
                 fd = (
-                    windowed_divergence(up, oracle_b)
-                    - windowed_divergence(dn, oracle_b)
+                    windowed_divergence(up)
+                    - windowed_divergence(dn)
                 ) / (2 * h)
                 assert grad[z] == pytest.approx(fd, rel=1e-4)
 
@@ -249,8 +255,8 @@ class TestWindowedGradient:
         ]
         cells = rng.uniform(0.1, 1.0, size=(2, 3))
         est = ConditionalTable(tuple(Simplex(r / r.sum()) for r in cells))
-        state = TrainerState(est, 25, buffer=pairs)
-        grad = windowed_gradient(state, oracle)
+        state = TrainerState(est, 25, oracle, buffer=pairs)
+        grad = windowed_gradient(state)
         q = est.p
         ratio = np.zeros((2, 3))  # window sum of P(x|y_i) / q(x|z_i) per z
         for y, z in pairs:
@@ -280,11 +286,11 @@ class TestWindowedGradient:
         )
 
         def divergence(table):
-            state = TrainerState(ConditionalTable(table), len(pairs), buffer=pairs)
-            return windowed_divergence(state, oracle)
+            state = TrainerState(ConditionalTable(table), len(pairs), oracle, buffer=pairs)
+            return windowed_divergence(state)
 
-        state = TrainerState(ConditionalTable(q), len(pairs), buffer=pairs)
-        grad = windowed_gradient(state, oracle)
+        state = TrainerState(ConditionalTable(q), len(pairs), oracle, buffer=pairs)
+        grad = windowed_gradient(state)
         assert grad.shape == (nz * (nx - 1),)
         grad = grad.reshape(nz, nx - 1)
         h = 1e-6
@@ -322,13 +328,13 @@ class TestProjection:
 class TestTrainStep:
     def test_no_update_before_start_step(self, oracle_b, joint_b):
         cfg = TrainerConfig(n_samples=10, window=5, start_step=8)
-        state = binary_state([0.42, 0.42], 5)
+        state = binary_state([0.42, 0.42], 5, oracle_b)
         _, ys, zs = sample_arrays(joint_b, 1, 10)
         for pair in list(zip(ys.tolist(), zs.tolist()))[:7]:
-            train_step(state, pair, cfg, oracle_b)
+            train_step(state, pair, cfg)
         assert state.updates == 0
         assert state.params()[::2] == (0.42, 0.42)
-        train_step(state, (ys[7], zs[7]), cfg, oracle_b)
+        train_step(state, (ys[7], zs[7]), cfg)
         assert state.updates == 1
 
     def test_first_update_uses_initial_step_size(self, oracle_b, joint_b):
@@ -337,12 +343,12 @@ class TestTrainStep:
         )
         _, ys, zs = sample_arrays(joint_b, 2, 6)
         pairs = list(zip(ys.tolist(), zs.tolist()))
-        state = binary_state([0.42, 0.42], 5)
+        state = binary_state([0.42, 0.42], 5, oracle_b)
         for pair in pairs:
-            train_step(state, pair, cfg, oracle_b)
+            train_step(state, pair, cfg)
         # the update sees the window as it stands after the sixth push
-        ref = binary_state([0.42, 0.42], 5, buffer=pairs[1:])
-        grad = windowed_gradient(ref, oracle_b)
+        ref = binary_state([0.42, 0.42], 5, oracle_b, buffer=pairs[1:])
+        grad = windowed_gradient(ref)
         for z in range(2):
             want = min(max(0.42 - 0.03 * grad[z], 1e-2), 1.0 - 1e-2)
             assert state.params()[2 * z] == pytest.approx(want, rel=1e-12)
@@ -363,9 +369,9 @@ class TestTrainStep:
 
     def test_window_mismatch_rejected(self, oracle_b):
         cfg = TrainerConfig(n_samples=10, window=5, start_step=6)
-        state = binary_state([0.5, 0.5], 7)
+        state = binary_state([0.5, 0.5], 7, oracle_b)
         with pytest.raises(DimensionError):
-            train_step(state, (0, 0), cfg, oracle_b)
+            train_step(state, (0, 0), cfg)
 
     def test_clamp_keeps_every_trace_entry_interior(self, oracle_b, joint_b):
         # an aggressive step size slams the boundary; the clamp must hold
@@ -383,11 +389,11 @@ class TestTrainStep:
         assert any(
             v == cfg.clamp_epsilon for _, flat in unrolled.param_trace for v in flat
         )
-        generic = TrainerState(ConditionalTable.uniform(2, 2), cfg.window)
+        generic = TrainerState(ConditionalTable.uniform(2, 2), cfg.window, oracle_b)
         generic._slide, generic._update = training._slide, training._update_rows
         _, ys, zs = sample_arrays(joint_b, cfg.seed, cfg.n_samples)
         for pair in zip(ys.tolist(), zs.tolist()):
-            train_step(generic, pair, cfg, oracle_b)
+            train_step(generic, pair, cfg)
         assert generic.divergence_trace == unrolled.divergence_trace
         assert generic.param_trace == unrolled.param_trace
 
