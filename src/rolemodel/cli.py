@@ -25,7 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from .channels import bec, build_joint, cascade, general_channel, to_matrix
-from .errors import ConvergenceError, RoleModelError, SpecFormatError
+from .errors import (
+    ConvergenceError,
+    RoleModelError,
+    SpecFormatError,
+    UndefinedConditionalError,
+)
 from .estimators import (
     check_theorem1,
     check_theorem2,
@@ -51,10 +56,22 @@ def _fmt_matrix(m) -> str:
     return "\n".join("  [" + "  ".join(f"{v:.6f}" for v in row) + "]" for row in m)
 
 
+def _json_safe(value):
+    """The payload with every non-finite float replaced by None (null)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 def _emit(args, text: str, payload: dict, out_path) -> None:
     """Print the report and write it; the file content is ready before
-    the file is opened, so a failed open leaves nothing behind."""
-    body = json.dumps(payload, indent=2) if args.json else text
+    the file is opened, so a failed open leaves nothing behind. JSON is
+    strict (RFC 8259): inf and NaN are written as null."""
+    body = json.dumps(_json_safe(payload), indent=2, allow_nan=False) if args.json else text
     print(body)
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -148,12 +165,19 @@ def _scenario_b_with(delta, channel_rows) -> Scenario:
     xy = bec(0.25 if delta is None else delta)
     yz = base.yz_channel if channel_rows is None else general_channel(channel_rows)
     joint = build_joint(base.prior, to_matrix(xy), to_matrix(yz))
+    posterior = direct_solution(joint)
+    if not posterior.defined.all():
+        z = int(np.flatnonzero(~posterior.defined)[0])
+        raise UndefinedConditionalError(
+            f"z-symbol {z} has zero probability under this channel, so its "
+            "exact posterior row is undefined"
+        )
     return Scenario(
         name="example-b-custom",
         prior=base.prior,
         xy_channel=xy,
         yz_channel=yz,
-        expected_posterior=direct_solution(joint),
+        expected_posterior=posterior,
     )
 
 
@@ -432,6 +456,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
 def _add_trainer_flags(sub, samples_help, samples_type):
     sub.add_argument("--seed", type=int, default=0, help="sampling seed")
     sub.add_argument("--samples", type=samples_type, default=None, help=samples_help)
@@ -473,9 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     vt = sub.add_parser("verify-theorems", help="randomized sweeps of the core identities")
     vt.add_argument("--trials", type=int, default=1000, help="number of random cases")
-    vt.add_argument("--seed", type=int, default=0, help="base seed; case t uses seed+t")
+    vt.add_argument("--seed", type=_nonnegative_int, default=0,
+                    help="base seed; case t uses seed+t")
     vt.add_argument("--sizes", default="2-5", help="alphabet size range, e.g. 2-5")
-    vt.add_argument("--replay", type=int, default=None,
+    vt.add_argument("--replay", type=_nonnegative_int, default=None,
                     help="rerun one case seed verbosely")
     vt.add_argument("--json", action="store_true", help="machine-readable output")
     vt.set_defaults(func=cmd_verify_theorems)

@@ -119,6 +119,18 @@ class TestExampleB:
         assert list(payload["final"]) == ["q_0_0", "q_1_0", "q_2_0", "divergence_bits"]
         assert payload["passed"] and code == 0
 
+    def test_channel_that_never_emits_a_z_symbol_is_invalid(self, tmp_path, capsys):
+        # every y maps to z = 0, so the exact posterior given z = 1 is undefined
+        code, captured = run(
+            capsys, "example-b", "--out", tmp_path, "--samples", 2000,
+            "--channel", "1,0;1,0;1,0", "--json",
+        )
+        assert code == 2
+        assert "invalid input" in captured.err
+        assert "z-symbol 1" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_bad_channel_override(self, tmp_path, capsys):
         code, captured = run(
             capsys, "example-b", "--out", tmp_path, "--channel", "0.8,zz"
@@ -152,6 +164,15 @@ class TestVerifyTheorems:
     def test_zero_trials_usage_error(self, capsys):
         code, captured = run(capsys, "verify-theorems", "--trials", 0)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [("--seed", -1, "--trials", 2), ("--replay", -3)]
+    )
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        code, captured = run(capsys, "verify-theorems", *argv)
+        assert code == 2
+        assert "must be nonnegative" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_bad_sizes(self, capsys):
         code, captured = run(capsys, "verify-theorems", "--sizes", "five")
@@ -219,6 +240,25 @@ class TestTrainEvaluate:
         write_estimator(est_path, direct_solution(scenario_b().joint()))
         code, _ = run(capsys, "evaluate", spec_path, est_path, "--tolerance", value)
         assert code == 2
+
+    def test_evaluate_json_is_strict_when_divergence_is_infinite(
+        self, tmp_path, spec_path, capsys
+    ):
+        # row 0 starves x = 1, which the erasure posterior needs: divergence +inf
+        est_path = tmp_path / "z.txt"
+        est_path.write_text("row_0 = 1.0, 0.0\nrow_1 = 0.5, 0.5\n")
+        code, captured = run(capsys, "evaluate", spec_path, est_path, "--json")
+
+        def no_constants(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(captured.out, parse_constant=no_constants)
+        assert payload["expected_divergence_bits"] is None
+        assert payload["gap_bits"] is None
+        assert payload["bound_bits"] > 0.0
+        assert code == 0
+        code, captured = run(capsys, "evaluate", spec_path, est_path)
+        assert "expected divergence: inf bits" in captured.out
 
     def test_evaluate_missing_file(self, tmp_path, spec_path, capsys):
         code, captured = run(capsys, "evaluate", spec_path, tmp_path / "nope.txt")
