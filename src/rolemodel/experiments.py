@@ -18,6 +18,7 @@ alphabets get one column per free entry, named q_<z>_<x>.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
@@ -132,6 +133,17 @@ BUILTIN_SCENARIOS = {"example-a": scenario_a, "example-b": scenario_b}
 # -- trace files ----------------------------------------------------------
 
 
+_STEPS_INCREASE = "steps must be strictly increasing"
+
+
+def _check_columns(cols: tuple, where: str = "") -> None:
+    if len(cols) < 3 or cols[0] != "step" or cols[1] != "divergence_bits":
+        raise SpecFormatError(
+            f"{where}columns must start with step, divergence_bits and name "
+            "at least one parameter"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class TraceFile:
     """One training run as data: metadata header plus per-step rows.
@@ -147,11 +159,7 @@ class TraceFile:
 
     def __post_init__(self):
         cols = tuple(self.columns)
-        if len(cols) < 3 or cols[0] != "step" or cols[1] != "divergence_bits":
-            raise SpecFormatError(
-                "columns must start with step, divergence_bits and name "
-                "at least one parameter"
-            )
+        _check_columns(cols)
         rows = tuple(tuple(r) for r in self.rows)
         last = None
         for r in rows:
@@ -160,7 +168,7 @@ class TraceFile:
                     f"row of width {len(r)} under {len(cols)} columns"
                 )
             if last is not None and r[0] <= last:
-                raise SpecFormatError("steps must be strictly increasing")
+                raise SpecFormatError(_STEPS_INCREASE)
             last = r[0]
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "rows", rows)
@@ -185,6 +193,7 @@ class TraceFile:
         header = {}
         columns = None
         rows = []
+        last = -math.inf
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -213,6 +222,7 @@ class TraceFile:
                 parts = line.split(",")
                 if columns is None:
                     columns = tuple(parts)
+                    _check_columns(columns, f"{path}:{lineno}: ")
                     continue
                 if len(parts) != len(columns):
                     raise SpecFormatError(
@@ -220,9 +230,13 @@ class TraceFile:
                         f"{len(columns)} columns"
                     )
                 try:
-                    rows.append((int(parts[0]),) + tuple(float(v) for v in parts[1:]))
+                    step = int(parts[0])
+                    rows.append((step, *map(float, parts[1:])))
                 except ValueError as exc:
                     raise SpecFormatError(f"{path}:{lineno}: bad row: {exc}") from None
+                if step <= last:
+                    raise SpecFormatError(f"{path}:{lineno}: {_STEPS_INCREASE}")
+                last = step
         if columns is None:
             raise SpecFormatError(f"{path}: no column header found")
         return cls(header, columns, tuple(rows))

@@ -177,6 +177,18 @@ class TestTraceFile:
         with pytest.raises(SpecFormatError, match="bad.csv:3: row of width 3 under 4"):
             TraceFile.read(path)
 
+    def test_read_rejects_decreasing_steps_with_line_number(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# seed = 1\nstep,divergence_bits,q_0\n2,0.5,0.1\n2,0.5,0.1\n")
+        with pytest.raises(SpecFormatError, match="bad.csv:4: steps must be strictly"):
+            TraceFile.read(path)
+
+    def test_read_rejects_bad_columns_with_line_number(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# seed = 1\nstep,foo,q_0\n1,0.5,0.1\n")
+        with pytest.raises(SpecFormatError, match="bad.csv:2: columns must start"):
+            TraceFile.read(path)
+
     def test_read_requires_header_row(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# seed = 1\n")
