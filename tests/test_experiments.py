@@ -179,7 +179,7 @@ class TestTraceFile:
 
     def test_read_rejects_decreasing_steps_with_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("# seed = 1\nstep,divergence_bits,q_0\n2,0.5,0.1\n2,0.5,0.1\n")
+        path.write_text("# seed = 1\nstep,divergence_bits,q_0\n3,0.5,0.1\n2,0.5,0.1\n")
         with pytest.raises(SpecFormatError, match="bad.csv:4: steps must be strictly"):
             TraceFile.read(path)
 
