@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from .estimators import (
 )
 from .experiments import (
     Scenario,
-    _free_params,
+    _free_param_index,
     random_joint,
     run_figure_traces,
     scenario_a,
@@ -199,15 +200,7 @@ def cmd_example_b(args) -> int:
         )
         return 2
     sc = _scenario_b_with(args.delta, _parse_channel_rows(args.channel) if args.channel else None)
-    config = TrainerConfig(
-        n_samples=args.samples,
-        seed=args.seed,
-        window=args.window,
-        start_step=args.start_step,
-        step_size_initial=args.eta0,
-        step_size_tau=args.tau,
-        clamp_epsilon=args.epsilon,
-    )
+    config = _trainer_config(args, args.samples)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / f"example_b_seed{args.seed}_trace.csv"
@@ -216,12 +209,11 @@ def cmd_example_b(args) -> int:
     # every free-parameter column of the trace against the same entry of
     # the exact posterior
     expected = sc.expected_posterior
-    names = trace.columns[2:]
+    layout = _free_param_index(expected.n_given, expected.n_target)
     final = trace.rows[-1]
-    got = dict(zip(names, (float(v) for v in final[2:])))
-    flat = tuple(expected.p.ravel().tolist())
-    want = dict(zip(names, _free_params(flat, expected.n_given, expected.n_target)))
-    err = {name: abs(got[name] - want[name]) for name in names}
+    got = dict(zip(layout, (float(v) for v in final[2:])))
+    want = {name: float(expected.p.flat[i]) for name, i in layout.items()}
+    err = {name: abs(got[name] - want[name]) for name in layout}
     ok = all(e <= args.tolerance for e in err.values())
 
     lines = [
@@ -230,7 +222,7 @@ def cmd_example_b(args) -> int:
         "",
         *(
             f"final {name} = {got[name]:.6f}   exact {want[name]:.6f}   error {err[name]:.6f}"
-            for name in names
+            for name in layout
         ),
         f"final windowed divergence = {final[1]:.6f} bits",
         "",
@@ -367,36 +359,14 @@ def cmd_train(args) -> int:
     sc = read_scenario(args.spec)
     joint = sc.joint()
     oracle = RoleModelOracle.from_joint(joint)
-    nz = joint.nz
-
-    simulated_count = None
-    samples_path = None
-    if args.samples is None:
-        simulated_count = 200_000
-    else:
-        try:
-            simulated_count = int(args.samples)
-        except ValueError:
-            samples_path = args.samples
-
-    if samples_path is not None:
-        pairs = read_samples(samples_path)
-        n = len(pairs)
-        source = pairs
-    else:
-        n = simulated_count
-        source = joint
-
-    config = TrainerConfig(
-        n_samples=n,
-        seed=args.seed,
-        window=args.window,
-        start_step=args.start_step,
-        init=ConditionalTable.uniform(nz, joint.nx),
-        step_size_initial=args.eta0,
-        step_size_tau=args.tau,
-        clamp_epsilon=args.epsilon,
-    )
+    try:
+        n = int(args.samples)
+        samples_path, source = None, joint
+    except ValueError:
+        samples_path = args.samples
+        source = read_samples(samples_path)
+        n = len(source)
+    config = _trainer_config(args, n, init=ConditionalTable.uniform(joint.nz, joint.nx))
     state = train_run(source, config, oracle)
     est = state.est
     write_estimator(args.out, est)
@@ -447,8 +417,13 @@ def cmd_evaluate(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+# argparse names a type function in its "invalid <name> value" message, so
+# the two below raise ArgumentTypeError with a plain message on any bad text
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # rejected below, like a typed-in nan
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(
             f"tolerance must be finite and nonnegative, got {text!r}"
@@ -457,23 +432,39 @@ def _tolerance(text: str) -> float:
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # rejected below
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be nonnegative and an integer, got {text!r}")
     return value
 
 
 def _add_trainer_flags(sub, samples_help, samples_type):
-    sub.add_argument("--seed", type=int, default=0, help="sampling seed")
-    sub.add_argument("--samples", type=samples_type, default=None, help=samples_help)
-    sub.add_argument("--window", type=int, default=100, help="moving-average window")
-    sub.add_argument("--start-step", type=int, default=101, dest="start_step",
+    """The trainer flags, each defaulting to TrainerConfig's value and
+    stored under its TrainerConfig field name (see _trainer_config)."""
+    d = TrainerConfig(n_samples=1)
+    sub.add_argument("--seed", type=int, default=d.seed, help="sampling seed")
+    # a string default goes through samples_type like a typed-in value
+    sub.add_argument("--samples", type=samples_type, default="200000", help=samples_help)
+    sub.add_argument("--window", type=int, default=d.window, help="moving-average window")
+    sub.add_argument("--start-step", type=int, default=d.start_step,
                      help="first sample index that triggers an update")
-    sub.add_argument("--eta0", type=float, default=0.05, help="initial step size")
-    sub.add_argument("--tau", type=float, default=1000.0,
+    sub.add_argument("--eta0", type=float, default=d.step_size_initial,
+                     dest="step_size_initial", metavar="ETA0", help="initial step size")
+    sub.add_argument("--tau", type=float, default=d.step_size_tau,
+                     dest="step_size_tau", metavar="TAU",
                      help="step-size decay time constant, in updates")
-    sub.add_argument("--epsilon", type=float, default=1e-2,
+    sub.add_argument("--epsilon", type=float, default=d.clamp_epsilon,
+                     dest="clamp_epsilon", metavar="EPSILON",
                      help="clamp width keeping parameters off the simplex boundary")
+
+
+def _trainer_config(args, n_samples: int, **extra) -> TrainerConfig:
+    """TrainerConfig from the flags whose dests are its field names."""
+    flags = {f.name: getattr(args, f.name) for f in fields(TrainerConfig) if hasattr(args, f.name)}
+    return TrainerConfig(n_samples=n_samples, **flags, **extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     eb = sub.add_parser("example-b", help="blind training on the erasure scenario")
     _add_trainer_flags(eb, "number of samples to draw", int)
-    eb.set_defaults(samples=200_000)
     eb.add_argument("--tolerance", type=_tolerance, default=0.02,
                     help="allowed distance from the exact posterior")
     eb.add_argument("--delta", type=float, default=None,

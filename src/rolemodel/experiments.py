@@ -8,7 +8,8 @@ Both carry their expected posterior and re-derive it on construction,
 so a scenario object that exists at all is internally consistent.
 
 Training runs are persisted as trace files: a plain-text CSV with
-``#``-prefixed key=value metadata lines, a column header, and one row
+``#``-prefixed key=value metadata lines, in the header's own order, a
+column header, and one row
 per recorded step. Floats are written with repr, so a read-back file
 reproduces the in-memory trace bit for bit. For a two-symbol source
 and a two-symbol observation the parameter columns are q_0 = Q(0|0)
@@ -19,6 +20,7 @@ alphabets get one column per free entry, named q_<z>_<x>.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
@@ -47,19 +49,6 @@ from .training import RoleModelOracle, TrainerConfig, train_run
 
 POSTERIOR_TOLERANCE = 1e-9
 
-# canonical metadata order, so files from one build are comparable line by line
-_HEADER_KEYS = (
-    "scenario",
-    "seed",
-    "window",
-    "start_step",
-    "step_size_initial",
-    "step_size_tau",
-    "clamp_epsilon",
-    "n_samples",
-    "version",
-    "timestamp",
-)
 _INT_KEYS = frozenset({"seed", "window", "start_step", "n_samples"})
 _FLOAT_KEYS = frozenset({"step_size_initial", "step_size_tau", "clamp_epsilon"})
 
@@ -175,13 +164,8 @@ class TraceFile:
         object.__setattr__(self, "header", dict(self.header))
 
     def write(self, path) -> None:
-        lines = []
-        for key in _HEADER_KEYS:
-            if key in self.header:
-                lines.append(f"# {key} = {self.header[key]}")
-        for key in self.header:
-            if key not in _HEADER_KEYS:
-                lines.append(f"# {key} = {self.header[key]}")
+        """Write the header in its own order, then the columns and rows."""
+        lines = [f"# {key} = {value}" for key, value in self.header.items()]
         lines.append(",".join(self.columns))
         for r in self.rows:
             lines.append(",".join([str(r[0])] + [repr(float(v)) for v in r[1:]]))
@@ -242,16 +226,12 @@ class TraceFile:
         return cls(header, columns, tuple(rows))
 
 
-def _param_columns(nz: int, nx: int) -> tuple:
+def _free_param_index(nz: int, nx: int) -> dict:
+    """Trace column name -> row-major index of each free estimator entry:
+    q_0 = Q(0|0) and q_1 = Q(1|1) for a 2x2 table, else q_<z>_<x>, x < nx - 1."""
     if nz == 2 and nx == 2:
-        return ("q_0", "q_1")
-    return tuple(f"q_{z}_{x}" for z in range(nz) for x in range(nx - 1))
-
-
-def _free_params(flat: tuple, nz: int, nx: int) -> tuple:
-    if nz == 2 and nx == 2:
-        return (flat[0], flat[3])
-    return tuple(flat[z * nx + x] for z in range(nz) for x in range(nx - 1))
+        return {"q_0": 0, "q_1": 3}
+    return {f"q_{z}_{x}": z * nx + x for z in range(nz) for x in range(nx - 1)}
 
 
 def run_figure_traces(
@@ -266,10 +246,12 @@ def run_figure_traces(
     joint = scenario.joint()
     oracle = RoleModelOracle.from_joint(joint)
     state = train_run(joint, config, oracle)
-    nz, nx = joint.nz, joint.nx
-    columns = ("step", "divergence_bits") + _param_columns(nz, nx)
+    layout = _free_param_index(joint.nz, joint.nx)
+    columns = ("step", "divergence_bits", *layout)
+    # alphabets have >= 2 symbols, so >= 2 free entries: pick returns a tuple
+    pick = operator.itemgetter(*layout.values())
     rows = tuple(
-        (step, div) + _free_params(flat, nz, nx)
+        (step, div) + pick(flat)
         for (step, div), (_, flat) in zip(state.divergence_trace, state.param_trace)
     )
     from . import __version__

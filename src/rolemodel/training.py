@@ -53,6 +53,7 @@ updates run unrolled, with the generic loops' float operations.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -76,12 +77,20 @@ _ON_BOUNDARY = "estimator parameter on the boundary, gradient undefined"
 class RoleModelOracle:
     """The reference estimator a training run mimics.
 
-    Holds the posterior table P(x|y), one row per y-symbol. The trainer
-    queries rows by observed y and never needs the joint, the prior, or
-    the source symbol itself.
+    Holds the posterior table P(x|y), one row per y-symbol, every row
+    defined (UndefinedConditionalError otherwise). The trainer queries
+    rows by observed y and never needs the joint, the prior, or the
+    source symbol itself.
     """
 
     posterior_xy: ConditionalTable
+
+    def __post_init__(self):
+        if not self.posterior_xy.defined.all():
+            raise UndefinedConditionalError(
+                "some y-symbols have zero probability; drop them from the "
+                "alphabet before building an oracle"
+            )
 
     @property
     def n_y(self) -> int:
@@ -93,13 +102,7 @@ class RoleModelOracle:
 
     @classmethod
     def from_joint(cls, joint: Joint3) -> "RoleModelOracle":
-        posterior = conditional(joint, X_AXIS, Y_AXIS)
-        if not posterior.defined.all():
-            raise UndefinedConditionalError(
-                "some y-symbols have zero probability; drop them from the "
-                "alphabet before building an oracle"
-            )
-        return cls(posterior)
+        return cls(conditional(joint, X_AXIS, Y_AXIS))
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,11 @@ class TrainerConfig:
     clamp_epsilon: float = 1e-2
 
     def __post_init__(self):
+        for name in ("n_samples", "seed", "window", "start_step"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise DistributionError(f"{name} must be an integer") from None
         if self.n_samples < 1:
             raise DistributionError("n_samples must be positive")
         if self.seed < 0:

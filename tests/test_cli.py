@@ -3,10 +3,11 @@ import json
 import pytest
 
 from rolemodel import TraceFile, bec, build_joint, general_channel, scenario_b, to_matrix
-from rolemodel.cli import main
+from rolemodel.cli import _trainer_config, build_parser, main
 from rolemodel.specfiles import write_estimator, write_samples, write_scenario
 from rolemodel.estimators import direct_solution
 from rolemodel.channels import sample_arrays
+from rolemodel.training import TrainerConfig
 
 
 @pytest.fixture()
@@ -174,6 +175,13 @@ class TestVerifyTheorems:
         assert "must be nonnegative" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("flag", ["--seed", "--replay"])
+    def test_non_integer_seed_names_the_flag(self, capsys, flag):
+        code, captured = run(capsys, "verify-theorems", flag, "x")
+        assert code == 2
+        assert f"argument {flag}: must be nonnegative and an integer, got 'x'" in captured.err
+        assert "_nonnegative_int" not in captured.err
+
     def test_bad_sizes(self, capsys):
         code, captured = run(capsys, "verify-theorems", "--sizes", "five")
         assert code == 2
@@ -241,6 +249,14 @@ class TestTrainEvaluate:
         code, _ = run(capsys, "evaluate", spec_path, est_path, "--tolerance", value)
         assert code == 2
 
+    def test_unparsable_tolerance_names_the_flag(self, tmp_path, spec_path, capsys):
+        code, captured = run(
+            capsys, "evaluate", spec_path, tmp_path / "e.txt", "--tolerance", "abc"
+        )
+        assert code == 2
+        assert "argument --tolerance: tolerance must be finite and nonnegative" in captured.err
+        assert "_tolerance" not in captured.err
+
     def test_evaluate_json_is_strict_when_divergence_is_infinite(
         self, tmp_path, spec_path, capsys
     ):
@@ -282,3 +298,16 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    # example-b's --samples is an int; train's may also be a sample-file path
+    @pytest.mark.parametrize(
+        "argv, samples", [(["example-b"], 200_000), (["train", "some.spec"], "200000")]
+    )
+    def test_trainer_defaults_are_trainer_configs(self, argv, samples):
+        args = build_parser().parse_args(argv)
+        assert args.samples == samples
+        want = TrainerConfig(n_samples=200_000)
+        for name in ("seed", "window", "start_step", "step_size_initial",
+                     "step_size_tau", "clamp_epsilon"):
+            assert getattr(args, name) == getattr(want, name)
+        assert _trainer_config(args, int(args.samples)) == want

@@ -1,6 +1,7 @@
 """The demo scripts run to completion against the current API."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +19,17 @@ def test_demo_exits_zero(script):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX sh")
+def test_cli_workflow_exits_zero(tmp_path):
+    # the script's mktemp -d lands under TMPDIR, so its output stays in
+    # tmp_path; its python3 is this interpreter
+    path = os.pathsep.join([str(Path(sys.executable).parent), os.environ.get("PATH", "")])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path), PATH=path)
+    done = subprocess.run(
+        ["sh", str(ROOT / "demos" / "cli_workflow.sh")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "PASS divergence respects the bound" in done.stdout

@@ -189,6 +189,15 @@ class TestTraceFile:
         with pytest.raises(SpecFormatError, match="bad.csv:2: columns must start"):
             TraceFile.read(path)
 
+    def test_header_written_in_its_own_order(self, tmp_path):
+        header = {"note": "hand-built", "n_samples": 3, "scenario": "x", "seed": 7}
+        t = TraceFile(header, ("step", "divergence_bits", "q_0"), ((1, 0.5, 0.25),))
+        path = tmp_path / "t.csv"
+        t.write(path)
+        back = TraceFile.read(path)
+        assert list(back.header.items()) == list(t.header.items())
+        assert path.read_text().splitlines()[0] == "# note = hand-built"
+
     def test_read_requires_header_row(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# seed = 1\n")

@@ -93,6 +93,11 @@ class TestOracle:
         with pytest.raises(UndefinedConditionalError):
             RoleModelOracle.from_joint(joint)
 
+    def test_direct_construction_rejects_undefined_row(self):
+        table = ConditionalTable([[0.5, 0.5], [math.nan, math.nan], [0.2, 0.8]])
+        with pytest.raises(UndefinedConditionalError):
+            RoleModelOracle(table)
+
 
 class TestConfig:
     def test_defaults(self):
@@ -119,11 +124,21 @@ class TestConfig:
             {"n_samples": 10, "step_size_tau": math.nan},
             {"n_samples": 10, "step_size_tau": math.inf},
             {"n_samples": 10, "clamp_epsilon": math.nan},
+            {"n_samples": 300.5},
+            {"n_samples": 300, "seed": 1.5},
+            {"n_samples": 300, "window": 2.5},
+            {"n_samples": 300, "start_step": 101.5},
+            {"n_samples": 300, "seed": None},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DistributionError):
             TrainerConfig(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = TrainerConfig(n_samples=np.int64(300), seed=np.int32(2), window=np.int64(5),
+                            start_step=np.uint8(6))
+        assert (cfg.n_samples, cfg.seed, cfg.window, cfg.start_step) == (300, 2, 5, 6)
 
     def test_start_step_may_equal_window_plus_one(self):
         cfg = TrainerConfig(n_samples=10, window=5, start_step=6)
