@@ -8,13 +8,13 @@ Both carry their expected posterior and re-derive it on construction,
 so a scenario object that exists at all is internally consistent.
 
 Training runs are persisted as trace files: a plain-text CSV with
-``#``-prefixed key=value metadata lines, in the header's own order, a
-column header, and one row
-per recorded step. Floats are written with repr, so a read-back file
-reproduces the in-memory trace bit for bit. For a two-symbol source
-and a two-symbol observation the parameter columns are q_0 = Q(0|0)
-and q_1 = Q(1|1), the two free parameters of the estimator; larger
-alphabets get one column per free entry, named q_<z>_<x>.
+``#``-prefixed key=value metadata lines in the header's own order, a
+column header, and one row per recorded step. Floats are written with
+repr, so a read-back file reproduces the in-memory trace bit for bit.
+For a two-symbol source and a two-symbol observation the parameter
+columns are q_0 = Q(0|0) and q_1 = Q(1|1), the two free parameters of
+the estimator; larger alphabets get one column per free entry, named
+q_<z>_<x>.
 """
 
 from __future__ import annotations
