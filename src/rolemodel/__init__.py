@@ -45,13 +45,11 @@ from .probability import (
 )
 from .channels import (
     ChannelSpec,
-    SampleTriple,
     bec,
     build_joint,
     cascade,
     general_channel,
     sample_arrays,
-    sample_stream,
     to_matrix,
     z_channel,
 )

@@ -10,7 +10,7 @@ plus two channel stages assemble into a Joint3 over (x, y, z).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -122,12 +122,6 @@ def build_joint(prior: Simplex, xy: ConditionalTable, yz: ConditionalTable) -> J
     return Joint3(table)
 
 
-class SampleTriple(NamedTuple):
-    x: int
-    y: int
-    z: int
-
-
 def sample_arrays(joint: Joint3, seed: int, n: int):
     """n i.i.d. draws from the joint as three int64 arrays (x, y, z).
 
@@ -147,8 +141,3 @@ def sample_arrays(joint: Joint3, seed: int, n: int):
     y, z = np.divmod(rem, joint.nz)
     return x.astype(np.int64), y.astype(np.int64), z.astype(np.int64)
 
-
-def sample_stream(joint: Joint3, seed: int, n: int) -> list:
-    """n i.i.d. draws from the joint as a list of SampleTriple."""
-    xs, ys, zs = sample_arrays(joint, seed, n)
-    return [SampleTriple(int(a), int(b), int(c)) for a, b, c in zip(xs, ys, zs)]

@@ -199,7 +199,8 @@ def cmd_example_b(args) -> int:
             file=sys.stderr,
         )
         return 2
-    sc = _scenario_b_with(args.delta, _parse_channel_rows(args.channel) if args.channel else None)
+    channel = None if args.channel is None else _parse_channel_rows(args.channel)
+    sc = _scenario_b_with(args.delta, channel)
     config = _trainer_config(args, args.samples)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,11 @@ RoleModelError, so callers can catch one base class. The subclasses
 split along the boundaries callers actually branch on: bad shapes,
 bad probability values, undefined conditionals, violated structural
 preconditions, exhausted iteration budgets, and malformed files.
+``open_text`` opens an input file so that bytes which are not UTF-8
+raise the malformed-file error too.
 """
+
+import contextlib
 
 
 class RoleModelError(Exception):
@@ -53,3 +57,14 @@ class SpecFormatError(RoleModelError, ValueError):
 
     The message carries the offending path and line number.
     """
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """Open an input file as UTF-8 text for reading; bytes that do not
+    decode raise SpecFormatError naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise SpecFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None

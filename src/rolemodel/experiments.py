@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
@@ -33,6 +34,7 @@ from .errors import (
     DistributionError,
     SpecFormatError,
     UnsupportedAlphabetError,
+    open_text,
 )
 from .estimators import direct_solution
 from .probability import (
@@ -125,6 +127,11 @@ BUILTIN_SCENARIOS = {"example-a": scenario_a, "example-b": scenario_b}
 _STEPS_INCREASE = "steps must be strictly increasing"
 
 
+def _one_line(text: str) -> bool:
+    # survives "# key = value" and the reader's strip() unchanged
+    return text == text.strip() and "\n" not in text and "\r" not in text
+
+
 def _check_columns(cols: tuple, where: str = "") -> None:
     if len(cols) < 3 or cols[0] != "step" or cols[1] != "divergence_bits":
         raise SpecFormatError(
@@ -139,7 +146,9 @@ class TraceFile:
 
     Each row is (step, windowed divergence in bits, free parameters...).
     Steps are strictly increasing and every row matches the column
-    header, whose first two names are fixed.
+    header, whose first two names are fixed. Every header entry reads
+    back as written: keys are nonempty, without '=', and neither key nor
+    value (as str) has a line break or leading or trailing whitespace.
     """
 
     header: dict
@@ -147,6 +156,13 @@ class TraceFile:
     rows: tuple
 
     def __post_init__(self):
+        header = dict(self.header)
+        for key, value in header.items():
+            key, text = str(key), str(value)
+            if not key or "=" in key or not _one_line(key) or not _one_line(text):
+                raise SpecFormatError(
+                    f"header entry {key!r} = {text!r} cannot be written as a trace line"
+                )
         cols = tuple(self.columns)
         _check_columns(cols)
         rows = tuple(tuple(r) for r in self.rows)
@@ -161,16 +177,22 @@ class TraceFile:
             last = r[0]
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "header", dict(self.header))
+        object.__setattr__(self, "header", header)
 
     def write(self, path) -> None:
-        """Write the header in its own order, then the columns and rows."""
-        lines = [f"# {key} = {value}" for key, value in self.header.items()]
-        lines.append(",".join(self.columns))
-        for r in self.rows:
-            lines.append(",".join([str(r[0])] + [repr(float(v)) for v in r[1:]]))
+        """Write the header in its own order, then the columns and rows,
+        line by line. A write that fails removes the partial file."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            try:
+                for key, value in self.header.items():
+                    fh.write(f"# {key} = {value}\n")
+                fh.write(",".join(self.columns) + "\n")
+                for r in self.rows:
+                    fh.write(",".join([str(r[0])] + [repr(float(v)) for v in r[1:]]) + "\n")
+            except BaseException:
+                fh.close()
+                os.remove(path)
+                raise
 
     @classmethod
     def read(cls, path) -> "TraceFile":
@@ -178,7 +200,7 @@ class TraceFile:
         columns = None
         rows = []
         last = -math.inf
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line:

@@ -22,8 +22,8 @@ row with no defined distribution. Sample logs are CSV with the exact
 header ``y,z`` and one pair of integer symbol indices per row.
 
 Format problems raise SpecFormatError carrying the path and the line
-number; whether the numbers make a distribution is checked by the
-constructors they feed, not here.
+number (bytes that are not UTF-8: the path only); whether the numbers
+make a distribution is checked by the constructors they feed, not here.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import re
 from pathlib import Path
 
 from .channels import ChannelSpec, bec, build_joint, general_channel, to_matrix, z_channel
-from .errors import SpecFormatError
+from .errors import SpecFormatError, open_text
 from .estimators import direct_solution
 from .experiments import Scenario
 from .probability import ConditionalTable, Simplex
@@ -43,7 +43,7 @@ _ROW_KEY = re.compile(r"^row_(\d+)$")
 def _parse_kv(path) -> dict:
     """key -> (value string, line number), rejecting malformed lines."""
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -203,7 +203,7 @@ def write_estimator(path, est: ConditionalTable) -> None:
 def read_samples(path) -> list:
     """Load a y,z sample log. Returns a nonempty list of (y, z) pairs."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline()
         if header.strip().replace(" ", "") != "y,z":
             raise SpecFormatError(f"{path}:1: expected the header 'y,z'")

@@ -40,14 +40,15 @@ at nx = 2 it is the full derivative in q(0|z), not half of it. A row
 with an entry below eps is projected exactly onto the epsilon-interior
 of the simplex (Duchi et al. 2008), at nx = 2 the clamp to [eps, 1-eps].
 
-A run has one oracle for its whole life, so a TrainerState is bound to
-it on construction, which builds the window sums from its rows. The
-state is flat lists of plain floats, kept incrementally: estimator
-entries, per z-symbol window sums of posterior rows and one
-negative-entropy accumulator, so a window slide costs O(nx). A
-z-symbol's sums are reset to exact zeros when its last sample leaves,
-so no drift survives an empty group. At nx = 2 the window and row
-updates run unrolled, with the generic loops' float operations.
+A run has one oracle and one TrainerConfig for its whole life, so a
+TrainerState is bound to both on construction, which builds the window
+sums and checks once that eps * nx < 1. Samples are (y, z) pairs only,
+so x has no way in. The state is flat lists of plain floats, kept
+incrementally: estimator entries, per z-symbol window sums of posterior
+rows and one negative-entropy accumulator, so a window slide costs
+O(nx). A z-symbol's sums are reset to exact zeros when its last sample
+leaves, so no drift survives an empty group. At nx = 2 the window and
+row updates run unrolled, with the generic loops' float operations.
 """
 
 from __future__ import annotations
@@ -155,30 +156,34 @@ class TrainerConfig:
 class TrainerState:
     """Mutable state of one training run; train_step mutates and returns it.
 
-    A run mimics one reference estimator for its whole life, so a state
-    is bound to one ``oracle`` on construction, which checks the oracle's
-    X alphabet against the estimator's (DimensionError when they differ)
-    and builds the window sums. ``buffer`` preseeds the window; only its
-    last ``window`` pairs enter it.
+    A run mimics one reference estimator under one ``config`` for its
+    whole life, so a state is bound to both on construction, which
+    checks the oracle's X alphabet against the estimator's
+    (DimensionError when they differ) and that clamp_epsilon * nx < 1
+    (DistributionError otherwise), and builds the window sums.
+    ``buffer`` preseeds the window; only its last config.window (y, z)
+    pairs enter it.
 
-    Public surface: ``est`` (the current estimator), ``step`` (samples
-    consumed), ``window_buffer`` (the (y, z) pairs currently in the
-    window), and the two traces, ``divergence_trace`` holding
-    (step, windowed divergence) and ``param_trace`` holding
+    Public surface: ``config``, ``est`` (the current estimator),
+    ``step`` (samples consumed), ``window_buffer`` (the (y, z) pairs
+    currently in the window), and the two traces, ``divergence_trace``
+    holding (step, windowed divergence) and ``param_trace`` holding
     (step, flattened estimator entries), both recorded from the first
     step at which the window is full.
     """
 
     def __init__(
-        self, est: ConditionalTable, window: int, oracle: RoleModelOracle, buffer: Iterable = ()
+        self, est: ConditionalTable, config: TrainerConfig, oracle: RoleModelOracle,
+        buffer: Iterable = (),
     ):
-        if window < 1:
-            raise DistributionError("window must be positive")
         if not est.defined.all():
             raise DistributionError("the trained estimator must define every row")
         if oracle.n_x != est.n_target:
             raise DimensionError("oracle and estimator disagree on the X alphabet")
-        self.window = int(window)
+        if config.clamp_epsilon * est.n_target >= 1.0:
+            raise DistributionError("clamp_epsilon too large for this X alphabet")
+        self.config = config
+        self.window = int(config.window)
         self.step = 0
         self.updates = 0
         self.window_buffer = deque()
@@ -200,8 +205,8 @@ class TrainerState:
         self._w = [0.0] * (self._nz * self._nx)
         self._count = [0] * self._nz
         self._neg = 0.0
-        for pair in deque(buffer, maxlen=self.window):
-            self._add(*_coerce_sample(pair))
+        for y, z in deque(map(_coerce_sample, buffer), maxlen=self.window):
+            self._add(y, z)
 
     @property
     def est(self) -> ConditionalTable:
@@ -250,9 +255,10 @@ def _complete(free: list) -> list:
 
 
 def _coerce_sample(sample) -> tuple:
-    if len(sample) == 3:  # a triple, SampleTriple or plain: x is deliberately ignored
-        return int(sample[1]), int(sample[2])
-    y, z = sample
+    try:
+        y, z = sample
+    except (TypeError, ValueError):
+        raise DimensionError(f"a sample is a (y, z) pair, got {sample!r}") from None
     return int(y), int(z)
 
 
@@ -359,27 +365,22 @@ def _project(row: list, eps: float) -> list:
     return out
 
 
-def train_step(state: TrainerState, sample, config: TrainerConfig) -> TrainerState:
-    """Consume one observation: slide the window, take one gradient step
+def train_step(state: TrainerState, sample) -> TrainerState:
+    """Consume one (y, z) pair: slide the window, take one gradient step
     once past the warm-up, and record traces once the window is full.
 
-    The sample may be a (y, z) pair or a full triple, whose x entry is
-    deliberately ignored: training is blind to the source symbol. The
-    step size for the t-th update (t = 0, 1, ...) is
-    step_size_initial / (1 + t / step_size_tau). Returns the same state
-    object, mutated.
+    The settings are the state's own config. The step size for the t-th
+    update (t = 0, 1, ...) is step_size_initial / (1 + t / step_size_tau).
+    A sample that is not a pair raises DimensionError. Returns the same
+    state object, mutated.
     """
-    if config.window != state.window:
-        raise DimensionError("config and state disagree on the window length")
+    config = state.config
     y, z = _coerce_sample(sample)
     symbol = state.step + 1
     state._add(y, z)
     if symbol >= config.start_step:
-        eps = config.clamp_epsilon
-        if eps * state._nx >= 1.0:
-            raise DistributionError("clamp_epsilon too large for this X alphabet")
         eta = config.step_size_initial / (1.0 + state.updates / config.step_size_tau)
-        state._update(state, eta, eps)
+        state._update(state, eta, config.clamp_epsilon)
         state.updates += 1
     state.step = symbol
     if symbol >= state.window:
@@ -396,13 +397,12 @@ def train_run(
     """Run a full training pass and return the final state.
 
     ``source`` is either a Joint3, in which case config.n_samples
-    triples are drawn with config.seed and their x entries are discarded
-    unseen, or an iterable of observations ((y, z) pairs or triples).
-    The run must contain at least config.start_step samples. The
-    estimator starts at config.init when given, else uniform rows; for
-    a stream source without init, the z alphabet is taken to be
-    0..max(z) observed. An init whose row count differs from a Joint3
-    source's z alphabet raises DimensionError.
+    triples are drawn with config.seed and only their (y, z) entries are
+    kept, or an iterable of (y, z) pairs. The run must contain at least
+    config.start_step samples. The estimator starts at config.init when
+    given, else uniform rows; for a stream source without init, the z
+    alphabet is taken to be 0..max(z) observed. An init whose row count
+    differs from a Joint3 source's z alphabet raises DimensionError.
     """
     if isinstance(source, Joint3):
         if config.init is not None and config.init.n_given != source.nz:
@@ -423,7 +423,7 @@ def train_run(
     est = config.init
     if est is None:
         est = ConditionalTable.uniform(nz, oracle.n_x)
-    state = TrainerState(est, config.window, oracle)
+    state = TrainerState(est, config, oracle)
     for pair in pairs:
-        train_step(state, pair, config)
+        train_step(state, pair)
     return state

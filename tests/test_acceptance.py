@@ -181,9 +181,11 @@ def test_08_windowed_gradient_matches_finite_differences():
         ]
         p = rng.uniform(0.05, 0.95, size=2)
 
+        config = TrainerConfig(window=m, start_step=m + 1, n_samples=1)
+
         def state_at(values):
             est = ConditionalTable(tuple(Simplex((v, 1.0 - v)) for v in values))
-            return TrainerState(est, m, oracle, buffer=pairs)
+            return TrainerState(est, config, oracle, buffer=pairs)
 
         grad = windowed_gradient(state_at(p))
         for z in range(2):

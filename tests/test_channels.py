@@ -5,7 +5,6 @@ from rolemodel import (
     ChannelSpec,
     ConditionalTable,
     Joint3,
-    SampleTriple,
     Simplex,
     X_AXIS,
     Z_AXIS,
@@ -17,7 +16,6 @@ from rolemodel import (
     general_channel,
     marginal_z,
     sample_arrays,
-    sample_stream,
     to_matrix,
     z_channel,
 )
@@ -151,14 +149,6 @@ class TestSampling:
         a = sample_arrays(joint_b, seed=1, n=500)
         b = sample_arrays(joint_b, seed=2, n=500)
         assert any(not np.array_equal(u, v) for u, v in zip(a, b))
-
-    def test_stream_matches_arrays(self, joint_a):
-        xs, ys, zs = sample_arrays(joint_a, seed=9, n=50)
-        stream = sample_stream(joint_a, seed=9, n=50)
-        assert all(isinstance(t, SampleTriple) for t in stream)
-        np.testing.assert_array_equal([t.x for t in stream], xs)
-        np.testing.assert_array_equal([t.y for t in stream], ys)
-        np.testing.assert_array_equal([t.z for t in stream], zs)
 
     def test_empirical_frequencies(self, joint_b):
         n = 1_000_000

@@ -139,6 +139,12 @@ class TestExampleB:
         assert code == 2
         assert "format error" in captured.err
 
+    def test_empty_channel_is_format_error_not_the_default(self, tmp_path, capsys):
+        code, captured = run(capsys, "example-b", "--out", tmp_path, "--channel", "")
+        assert code == 2
+        assert "format error" in captured.err
+        assert captured.out == ""
+
 
 class TestVerifyTheorems:
     def test_sweep_passes(self, capsys):
@@ -280,6 +286,25 @@ class TestTrainEvaluate:
         code, captured = run(capsys, "evaluate", spec_path, tmp_path / "nope.txt")
         assert code == 1
         assert "i/o failure" in captured.err
+
+    def test_non_utf8_spec_is_format_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.spec"
+        bad.write_bytes(b"name = caf\xe9\nprior = 0.5, 0.5\n")
+        code, captured = run(capsys, "train", bad)
+        assert code == 2
+        assert "format error" in captured.err
+        assert "bad.spec: not UTF-8" in captured.err
+
+    def test_non_utf8_samples_are_format_error(self, tmp_path, spec_path, capsys):
+        samples = tmp_path / "log.csv"
+        samples.write_bytes(b"y,z\n0,1\n\xff,0\n")
+        est_path = tmp_path / "est.txt"
+        code, captured = run(
+            capsys, "train", spec_path, "--samples", samples, "--out", est_path
+        )
+        assert code == 2
+        assert "log.csv: not UTF-8" in captured.err
+        assert not est_path.exists()
 
     def test_malformed_spec_gives_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.spec"

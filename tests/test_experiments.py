@@ -198,6 +198,31 @@ class TestTraceFile:
         assert list(back.header.items()) == list(t.header.items())
         assert path.read_text().splitlines()[0] == "# note = hand-built"
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("a=b", 1), ("", 1), ("a\nb", 1), (" a", 1), ("a", "x\ny"), ("a", "x\r"),
+         ("a", " padded "), ("a", "tail\t")],
+        ids=["key-with-eq", "empty-key", "key-with-newline", "padded-key",
+             "value-with-newline", "value-with-cr", "padded-value", "value-with-tab"],
+    )
+    def test_header_it_cannot_carry_rejected(self, key, value):
+        with pytest.raises(SpecFormatError, match="header entry"):
+            TraceFile({"seed": 1, key: value}, ("step", "divergence_bits", "q_0"), ())
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        t = TraceFile({"seed": 1}, ("step", "divergence_bits", "q_0"),
+                      ((1, 0.5, 0.25), (2, 0.5, "not a number")))
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            t.write(path)
+        assert not path.exists()
+
+    def test_read_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"# scenario = \xff\nstep,divergence_bits,q_0\n")
+        with pytest.raises(SpecFormatError, match="bad.csv: not UTF-8"):
+            TraceFile.read(path)
+
     def test_read_requires_header_row(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# seed = 1\n")

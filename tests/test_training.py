@@ -8,7 +8,6 @@ from rolemodel import training
 from rolemodel import (
     ConditionalTable,
     RoleModelOracle,
-    SampleTriple,
     Simplex,
     TrainerConfig,
     TrainerState,
@@ -52,9 +51,13 @@ def joint_ternary():
     return build_joint(Simplex.uniform(3), xy, yz)
 
 
+def window_config(m):
+    return TrainerConfig(window=m, start_step=m + 1, n_samples=1)
+
+
 def binary_state(p_rows, window, oracle, buffer=()):
     est = ConditionalTable(tuple(Simplex((p, 1.0 - p)) for p in p_rows))
-    return TrainerState(est, window, oracle, buffer)
+    return TrainerState(est, window_config(window), oracle, buffer)
 
 
 def stochastic_rows(n, nx):
@@ -154,13 +157,20 @@ class TestState:
     def test_rejects_undefined_rows(self, oracle_b):
         est = ConditionalTable((None, Simplex([0.5, 0.5])))
         with pytest.raises(DistributionError):
-            TrainerState(est, 10, oracle_b)
+            TrainerState(est, window_config(10), oracle_b)
 
     def test_oracle_alphabet_mismatch_rejected(self, joint_ternary):
         # checked once, on construction, before any sample arrives
         ternary = RoleModelOracle.from_joint(joint_ternary)
         with pytest.raises(DimensionError):
-            TrainerState(ConditionalTable.uniform(2, 2), 10, ternary)
+            TrainerState(ConditionalTable.uniform(2, 2), window_config(10), ternary)
+
+    def test_epsilon_infeasible_rejected_on_construction(self, joint_ternary):
+        # 0.4 * 3 >= 1: no row fits the clamp; refused before any sample arrives
+        ternary = RoleModelOracle.from_joint(joint_ternary)
+        cfg = TrainerConfig(n_samples=200, clamp_epsilon=0.4)
+        with pytest.raises(DistributionError, match="clamp_epsilon"):
+            TrainerState(ConditionalTable.uniform(2, 3), cfg, ternary)
 
     def test_buffer_preseed_keeps_last_window(self, oracle_b):
         pairs = [(0, 0), (1, 1), (2, 0), (0, 1), (1, 0)]
@@ -203,7 +213,7 @@ class TestWindowedDivergence:
         state = binary_state([0.5, 0.5], 60, oracle_b)
         _, ys, zs = sample_arrays(joint_b, cfg.seed, cfg.n_samples)
         for k, pair in enumerate(zip(ys.tolist(), zs.tolist())):
-            train_step(state, pair, cfg)
+            train_step(state, pair)
             if k >= 59 and k % 17 == 0:
                 assert windowed_divergence(state) == pytest.approx(
                     direct_divergence(state, oracle_b), abs=1e-9
@@ -212,10 +222,10 @@ class TestWindowedDivergence:
     def test_matches_direct_recompute_ternary(self, joint_ternary):
         oracle = RoleModelOracle.from_joint(joint_ternary)
         cfg = TrainerConfig(n_samples=1500, seed=5, window=40, start_step=41)
-        state = TrainerState(ConditionalTable.uniform(2, 3), 40, oracle)
+        state = TrainerState(ConditionalTable.uniform(2, 3), cfg, oracle)
         _, ys, zs = sample_arrays(joint_ternary, cfg.seed, cfg.n_samples)
         for k, pair in enumerate(zip(ys.tolist(), zs.tolist())):
-            train_step(state, pair, cfg)
+            train_step(state, pair)
             if k >= 39 and k % 13 == 0:
                 assert windowed_divergence(state) == pytest.approx(
                     direct_divergence(state, oracle), abs=1e-9
@@ -270,7 +280,7 @@ class TestWindowedGradient:
         ]
         cells = rng.uniform(0.1, 1.0, size=(2, 3))
         est = ConditionalTable(tuple(Simplex(r / r.sum()) for r in cells))
-        state = TrainerState(est, 25, oracle, buffer=pairs)
+        state = TrainerState(est, window_config(25), oracle, buffer=pairs)
         grad = windowed_gradient(state)
         q = est.p
         ratio = np.zeros((2, 3))  # window sum of P(x|y_i) / q(x|z_i) per z
@@ -301,10 +311,11 @@ class TestWindowedGradient:
         )
 
         def divergence(table):
-            state = TrainerState(ConditionalTable(table), len(pairs), oracle, buffer=pairs)
+            state = TrainerState(ConditionalTable(table), cfg, oracle, buffer=pairs)
             return windowed_divergence(state)
 
-        state = TrainerState(ConditionalTable(q), len(pairs), oracle, buffer=pairs)
+        cfg = window_config(len(pairs))
+        state = TrainerState(ConditionalTable(q), cfg, oracle, buffer=pairs)
         grad = windowed_gradient(state)
         assert grad.shape == (nz * (nx - 1),)
         grad = grad.reshape(nz, nx - 1)
@@ -343,13 +354,13 @@ class TestProjection:
 class TestTrainStep:
     def test_no_update_before_start_step(self, oracle_b, joint_b):
         cfg = TrainerConfig(n_samples=10, window=5, start_step=8)
-        state = binary_state([0.42, 0.42], 5, oracle_b)
+        state = TrainerState(ConditionalTable([[0.42, 0.58]] * 2), cfg, oracle_b)
         _, ys, zs = sample_arrays(joint_b, 1, 10)
         for pair in list(zip(ys.tolist(), zs.tolist()))[:7]:
-            train_step(state, pair, cfg)
+            train_step(state, pair)
         assert state.updates == 0
         assert state.params()[::2] == (0.42, 0.42)
-        train_step(state, (ys[7], zs[7]), cfg)
+        train_step(state, (ys[7], zs[7]))
         assert state.updates == 1
 
     def test_first_update_uses_initial_step_size(self, oracle_b, joint_b):
@@ -358,9 +369,9 @@ class TestTrainStep:
         )
         _, ys, zs = sample_arrays(joint_b, 2, 6)
         pairs = list(zip(ys.tolist(), zs.tolist()))
-        state = binary_state([0.42, 0.42], 5, oracle_b)
+        state = TrainerState(ConditionalTable([[0.42, 0.58]] * 2), cfg, oracle_b)
         for pair in pairs:
-            train_step(state, pair, cfg)
+            train_step(state, pair)
         # the update sees the window as it stands after the sixth push
         ref = binary_state([0.42, 0.42], 5, oracle_b, buffer=pairs[1:])
         grad = windowed_gradient(ref)
@@ -382,12 +393,6 @@ class TestTrainStep:
         assert state.updates == 1
         assert len(state.divergence_trace) == 2
 
-    def test_window_mismatch_rejected(self, oracle_b):
-        cfg = TrainerConfig(n_samples=10, window=5, start_step=6)
-        state = binary_state([0.5, 0.5], 7, oracle_b)
-        with pytest.raises(DimensionError):
-            train_step(state, (0, 0), cfg)
-
     def test_clamp_keeps_every_trace_entry_interior(self, oracle_b, joint_b):
         # an aggressive step size slams the boundary; the clamp must hold
         cfg = TrainerConfig(n_samples=3000, seed=9, step_size_initial=2.0)
@@ -404,11 +409,11 @@ class TestTrainStep:
         assert any(
             v == cfg.clamp_epsilon for _, flat in unrolled.param_trace for v in flat
         )
-        generic = TrainerState(ConditionalTable.uniform(2, 2), cfg.window, oracle_b)
+        generic = TrainerState(ConditionalTable.uniform(2, 2), cfg, oracle_b)
         generic._slide, generic._update = training._slide, training._update_rows
         _, ys, zs = sample_arrays(joint_b, cfg.seed, cfg.n_samples)
         for pair in zip(ys.tolist(), zs.tolist()):
-            train_step(generic, pair, cfg)
+            train_step(generic, pair)
         assert generic.divergence_trace == unrolled.divergence_trace
         assert generic.param_trace == unrolled.param_trace
 
@@ -432,17 +437,17 @@ class TestTrainRun:
         b = train_run(joint_b, TrainerConfig(n_samples=2000, seed=1), oracle_b)
         assert a.param_trace != b.param_trace
 
-    def test_blind_to_source_symbols(self, joint_b, oracle_b):
-        cfg = TrainerConfig(n_samples=1500, seed=4)
-        xs, ys, zs = sample_arrays(joint_b, cfg.seed, cfg.n_samples)
-        honest = [
-            SampleTriple(int(x), int(y), int(z)) for x, y, z in zip(xs, ys, zs)
-        ]
-        garbled = [SampleTriple(9 - t.x, t.y, t.z) for t in honest]
-        a = train_run(honest, cfg, oracle_b)
-        b = train_run(garbled, cfg, oracle_b)
-        assert a.param_trace == b.param_trace
-        assert a.divergence_trace == b.divergence_trace
+    def test_triples_rejected(self, oracle_b):
+        # blind by type: a sample carrying x, or anything else not a pair, is refused
+        cfg = TrainerConfig(n_samples=300)
+        for bad in [(1, 2, 0), (1,), 7]:
+            with pytest.raises(DimensionError, match=r"a sample is a \(y, z\) pair"):
+                train_run([(0, 0)] * 299 + [bad], cfg, oracle_b)
+            with pytest.raises(DimensionError, match="pair"):
+                train_step(binary_state([0.5, 0.5], 5, oracle_b), bad)
+            # the whole preseed is checked, not only the pairs that stay in the window
+            with pytest.raises(DimensionError, match="pair"):
+                binary_state([0.5, 0.5], 2, oracle_b, buffer=[bad, (0, 0), (1, 1)])
 
     def test_joint_source_equals_pair_stream(self, joint_b, oracle_b):
         cfg = TrainerConfig(n_samples=1500, seed=4)
