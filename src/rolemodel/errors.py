@@ -6,10 +6,12 @@ split along the boundaries callers actually branch on: bad shapes,
 bad probability values, undefined conditionals, violated structural
 preconditions, exhausted iteration budgets, and malformed files.
 ``open_text`` opens an input file so that bytes which are not UTF-8
-raise the malformed-file error too.
+raise the malformed-file error too; ``create_text`` opens an output
+file that is removed again if writing it fails.
 """
 
 import contextlib
+import os
 
 
 class RoleModelError(Exception):
@@ -68,3 +70,16 @@ def open_text(path):
             yield fh
         except UnicodeDecodeError as exc:
             raise SpecFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+@contextlib.contextmanager
+def create_text(path):
+    """Open an output file as UTF-8 text for writing; if the block raises,
+    the partial file is removed and the error propagates."""
+    with open(path, "w", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
@@ -34,6 +33,7 @@ from .errors import (
     DistributionError,
     SpecFormatError,
     UnsupportedAlphabetError,
+    create_text,
     open_text,
 )
 from .estimators import direct_solution
@@ -132,6 +132,19 @@ def _one_line(text: str) -> bool:
     return text == text.strip() and "\n" not in text and "\r" not in text
 
 
+def _header_value(key: str, text: str, where: str = ""):
+    """A header value as the reader returns it: an int for _INT_KEYS, a
+    float for _FLOAT_KEYS, else the text itself."""
+    try:
+        if key in _INT_KEYS:
+            return int(text)
+        if key in _FLOAT_KEYS:
+            return float(text)
+    except ValueError:
+        raise SpecFormatError(f"{where}bad value {text!r} for {key}") from None
+    return text
+
+
 def _check_columns(cols: tuple, where: str = "") -> None:
     if len(cols) < 3 or cols[0] != "step" or cols[1] != "divergence_bits":
         raise SpecFormatError(
@@ -147,8 +160,9 @@ class TraceFile:
     Each row is (step, windowed divergence in bits, free parameters...).
     Steps are strictly increasing and every row matches the column
     header, whose first two names are fixed. Every header entry reads
-    back as written: keys are nonempty, without '=', and neither key nor
-    value (as str) has a line break or leading or trailing whitespace.
+    back as stored: keys are nonempty, without '=', and neither key nor
+    value (as str) has a line break or leading or trailing whitespace;
+    each value is stored as the reader returns its str.
     """
 
     header: dict
@@ -156,13 +170,14 @@ class TraceFile:
     rows: tuple
 
     def __post_init__(self):
-        header = dict(self.header)
-        for key, value in header.items():
+        header = {}
+        for key, value in dict(self.header).items():
             key, text = str(key), str(value)
             if not key or "=" in key or not _one_line(key) or not _one_line(text):
                 raise SpecFormatError(
                     f"header entry {key!r} = {text!r} cannot be written as a trace line"
                 )
+            header[key] = _header_value(key, text)
         cols = tuple(self.columns)
         _check_columns(cols)
         rows = tuple(tuple(r) for r in self.rows)
@@ -182,17 +197,12 @@ class TraceFile:
     def write(self, path) -> None:
         """Write the header in its own order, then the columns and rows,
         line by line. A write that fails removes the partial file."""
-        with open(path, "w", encoding="utf-8") as fh:
-            try:
-                for key, value in self.header.items():
-                    fh.write(f"# {key} = {value}\n")
-                fh.write(",".join(self.columns) + "\n")
-                for r in self.rows:
-                    fh.write(",".join([str(r[0])] + [repr(float(v)) for v in r[1:]]) + "\n")
-            except BaseException:
-                fh.close()
-                os.remove(path)
-                raise
+        with create_text(path) as fh:
+            for key, value in self.header.items():
+                fh.write(f"# {key} = {value}\n")
+            fh.write(",".join(self.columns) + "\n")
+            for r in self.rows:
+                fh.write(",".join([str(r[0])] + [repr(float(v)) for v in r[1:]]) + "\n")
 
     @classmethod
     def read(cls, path) -> "TraceFile":
@@ -213,17 +223,7 @@ class TraceFile:
                         )
                     key, _, value = body.partition("=")
                     key = key.strip()
-                    value = value.strip()
-                    try:
-                        if key in _INT_KEYS:
-                            value = int(value)
-                        elif key in _FLOAT_KEYS:
-                            value = float(value)
-                    except ValueError:
-                        raise SpecFormatError(
-                            f"{path}:{lineno}: bad value {value!r} for {key}"
-                        ) from None
-                    header[key] = value
+                    header[key] = _header_value(key, value.strip(), f"{path}:{lineno}: ")
                     continue
                 parts = line.split(",")
                 if columns is None:

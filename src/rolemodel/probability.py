@@ -11,8 +11,12 @@ Conventions used throughout:
   represented explicitly (a NaN row, flagged in the table's ``defined``
   mask), never silently replaced by a uniform or zero row.
 
-All types are immutable after construction (their arrays are marked
-read-only) and all operations are pure functions of their inputs.
+One validity rule covers every distribution: a Simplex, a Joint3 table
+and each defined row of a ConditionalTable. Its entries must be finite
+and nonnegative and its mass within SUM_TOLERANCE of 1; it is then
+divided by that mass and its array marked read-only. Anything further
+off raises DistributionError as a construction bug, not papered over.
+All types are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -28,9 +32,8 @@ from .errors import DimensionError, DistributionError, UndefinedConditionalError
 # Axis indices of a Joint3 table, in storage order.
 X_AXIS, Y_AXIS, Z_AXIS = 0, 1, 2
 
-# Inputs whose total mass deviates from 1 by more than this are rejected.
-# Smaller deviations are normalized away: the window absorbs accumulated
-# rounding from chained products without masking construction bugs.
+# The validity rule's mass window: wide enough for the rounding of chained
+# products, too narrow to mask a construction bug.
 SUM_TOLERANCE = 1e-9
 
 
@@ -54,35 +57,44 @@ def _kl_from_arrays(p: np.ndarray, q: np.ndarray) -> float:
     return val if val > 0.0 else 0.0
 
 
+def _probabilities(arr: np.ndarray, rows=None) -> np.ndarray:
+    """Enforce the validity rule on a float array the caller owns, in
+    place, and return it read-only. The whole array is one distribution,
+    or, given a mask ``rows`` over the first axis, each selected row is."""
+    body = arr if rows is None else arr[rows]
+    if not np.isfinite(body).all():
+        raise DistributionError("probabilities must be finite")
+    if (body < 0.0).any():
+        raise DistributionError("probabilities must be nonnegative")
+    if rows is None:
+        # a scalar total keeps the common whole-array case cheap per call
+        total = float(body.sum())
+        off = [total] if abs(total - 1.0) > SUM_TOLERANCE else []
+    else:
+        total = body.sum(axis=1, keepdims=True)
+        off = total[abs(total - 1.0) > SUM_TOLERANCE]
+    if len(off):
+        raise DistributionError(f"probabilities sum to {float(off[0])!r}, not 1")
+    body /= total
+    if rows is not None:
+        arr[rows] = body
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Simplex:
-    """A probability distribution over a finite alphabet of >= 2 symbols.
-
-    Accepts any nonnegative vector whose mass is within SUM_TOLERANCE of 1
-    and renormalizes it exactly to 1; anything further off is rejected as a
-    construction bug rather than papered over.
-    """
+    """A probability distribution over a finite alphabet of >= 2 symbols."""
 
     probs: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.probs, dtype=float)
         if arr.ndim != 1:
-            raise DistributionError(
-                f"expected a 1-d probability vector, got shape {arr.shape}"
-            )
+            raise DistributionError(f"expected a 1-d vector, got shape {arr.shape}")
         if arr.size < 2:
             raise DistributionError("alphabet must have at least 2 symbols")
-        if not np.all(np.isfinite(arr)):
-            raise DistributionError("probabilities must be finite")
-        if np.any(arr < 0.0):
-            raise DistributionError("probabilities must be nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise DistributionError(f"probabilities sum to {total!r}, not 1")
-        arr /= total
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", _probabilities(arr))
 
     def __len__(self) -> int:
         return self.probs.size
@@ -103,11 +115,7 @@ class Simplex:
 
 @dataclass(frozen=True, eq=False)
 class Joint3:
-    """A joint distribution over (x, y, z): a read-only (nx, ny, nz) table.
-
-    Same normalization policy as Simplex: total mass within SUM_TOLERANCE
-    of 1 is renormalized, anything further off is rejected.
-    """
+    """A joint distribution over (x, y, z): a read-only (nx, ny, nz) table."""
 
     p: np.ndarray
 
@@ -117,16 +125,7 @@ class Joint3:
             raise DistributionError(f"expected a 3-d table, got shape {arr.shape}")
         if any(n < 2 for n in arr.shape):
             raise DistributionError("every alphabet must have at least 2 symbols")
-        if not np.all(np.isfinite(arr)):
-            raise DistributionError("probabilities must be finite")
-        if np.any(arr < 0.0):
-            raise DistributionError("probabilities must be nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise DistributionError(f"table mass is {total!r}, not 1")
-        arr /= total
-        arr.setflags(write=False)
-        object.__setattr__(self, "p", arr)
+        object.__setattr__(self, "p", _probabilities(arr))
 
     @property
     def nx(self) -> int:
@@ -158,8 +157,8 @@ class ConditionalTable:
     serves as a channel (every row defined), a posterior table and an
     estimator. The constructor takes a 2-d array or a sequence of rows,
     where a row is a Simplex, a vector, None or all NaN (undefined).
-    Every defined row is validated and renormalized as by Simplex; at
-    least one row must be defined.
+    Every defined row is one distribution under the validity rule, and
+    at least one row must be defined.
     """
 
     p: np.ndarray
@@ -185,19 +184,8 @@ class ConditionalTable:
             raise DistributionError("a conditional table needs a defined row")
         if arr.shape[1] < 2:
             raise DistributionError("alphabet must have at least 2 symbols")
-        body = arr[defined]
-        if not np.all(np.isfinite(body)):
-            raise DistributionError("probabilities must be finite")
-        if np.any(body < 0.0):
-            raise DistributionError("probabilities must be nonnegative")
-        totals = body.sum(axis=1)
-        off = np.abs(totals - 1.0) > SUM_TOLERANCE
-        if off.any():
-            raise DistributionError(f"probabilities sum to {totals[off][0]!r}, not 1")
-        arr[defined] = body / totals[:, None]
-        arr.setflags(write=False)
         defined.setflags(write=False)
-        object.__setattr__(self, "p", arr)
+        object.__setattr__(self, "p", _probabilities(arr, defined))
         object.__setattr__(self, "defined", defined)
 
     @property

@@ -32,10 +32,11 @@ import re
 from pathlib import Path
 
 from .channels import ChannelSpec, bec, build_joint, general_channel, to_matrix, z_channel
-from .errors import SpecFormatError, open_text
+from .errors import SpecFormatError, create_text, open_text
 from .estimators import direct_solution
 from .experiments import Scenario
 from .probability import ConditionalTable, Simplex
+from .training import _coerce_sample
 
 _ROW_KEY = re.compile(r"^row_(\d+)$")
 
@@ -229,7 +230,10 @@ def read_samples(path) -> list:
 
 
 def write_samples(path, pairs) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write (y, z) pairs as a sample log. A pair that is not two integers
+    raises DimensionError and leaves no file."""
+    with create_text(path) as fh:
         fh.write("y,z\n")
-        for y, z in pairs:
-            fh.write(f"{int(y)},{int(z)}\n")
+        for pair in pairs:
+            y, z = _coerce_sample(pair)
+            fh.write(f"{y},{z}\n")

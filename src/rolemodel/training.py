@@ -255,11 +255,15 @@ def _complete(free: list) -> list:
 
 
 def _coerce_sample(sample) -> tuple:
+    """The one rule for a sample: a (y, z) pair of integers. operator.index
+    takes numpy integers but refuses floats and strings, never truncating."""
     try:
         y, z = sample
+        return operator.index(y), operator.index(z)
     except (TypeError, ValueError):
-        raise DimensionError(f"a sample is a (y, z) pair, got {sample!r}") from None
-    return int(y), int(z)
+        raise DimensionError(
+            f"a sample is a (y, z) pair of integers, got {sample!r}"
+        ) from None
 
 
 def windowed_divergence(state: TrainerState) -> float:
@@ -371,8 +375,8 @@ def train_step(state: TrainerState, sample) -> TrainerState:
 
     The settings are the state's own config. The step size for the t-th
     update (t = 0, 1, ...) is step_size_initial / (1 + t / step_size_tau).
-    A sample that is not a pair raises DimensionError. Returns the same
-    state object, mutated.
+    A sample that is not a pair of integers raises DimensionError. Returns
+    the same state object, mutated.
     """
     config = state.config
     y, z = _coerce_sample(sample)

@@ -209,6 +209,18 @@ class TestTraceFile:
         with pytest.raises(SpecFormatError, match="header entry"):
             TraceFile({"seed": 1, key: value}, ("step", "divergence_bits", "q_0"), ())
 
+    def test_typed_header_value_it_cannot_read_rejected(self):
+        with pytest.raises(SpecFormatError, match="bad value 'abc' for seed"):
+            TraceFile({"seed": "abc"}, ("step", "divergence_bits", "q_0"), ())
+
+    def test_typed_header_values_stored_as_read(self, tmp_path):
+        t = TraceFile({"seed": "7", "clamp_epsilon": 1}, ("step", "divergence_bits", "q_0"),
+                      ((1, 0.5, 0.25),))
+        assert t.header == {"seed": 7, "clamp_epsilon": 1.0}
+        path = tmp_path / "t.csv"
+        t.write(path)
+        assert TraceFile.read(path).header == t.header
+
     def test_failed_write_leaves_no_file(self, tmp_path):
         t = TraceFile({"seed": 1}, ("step", "divergence_bits", "q_0"),
                       ((1, 0.5, 0.25), (2, 0.5, "not a number")))

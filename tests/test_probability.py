@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rolemodel import (
     ConditionalTable,
@@ -193,6 +194,75 @@ class TestConditionalTable:
         assert est.n_given == 3
         assert est.defined.all()
         np.testing.assert_allclose(est.p, np.full((3, 2), 0.5))
+
+
+def stored(kind, table):
+    obj = kind(table)
+    return obj.probs if kind is Simplex else obj.p
+
+
+class TestValidityRule:
+    """Simplex, Joint3 and each defined ConditionalTable row obey one rule."""
+
+    @pytest.mark.parametrize("kind", [Simplex, Joint3, ConditionalTable])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_normalises_bit_for_bit_and_rejects_invalid(self, kind, data):
+        if kind is Simplex:
+            shape = (data.draw(st.integers(2, 6), label="n"),)
+        elif kind is Joint3:
+            shape = tuple(data.draw(st.integers(2, 3), label="n") for _ in range(3))
+        else:
+            shape = (data.draw(st.integers(1, 4), label="rows"),
+                     data.draw(st.integers(2, 5), label="n"))
+        size = int(np.prod(shape))
+        raw = np.array(
+            data.draw(st.lists(st.floats(0.0, 10.0), min_size=size, max_size=size),
+                      label="cells")
+        ).reshape(shape)
+        if kind is ConditionalTable:
+            mass = raw.sum(axis=1, keepdims=True)
+            undefined = np.array(data.draw(
+                st.lists(st.booleans(), min_size=shape[0], max_size=shape[0]),
+                label="undefined"))
+            undefined[data.draw(st.integers(0, shape[0] - 1), label="kept")] = False
+            undefined |= mass[:, 0] == 0.0
+            assume(not undefined.all())
+            v = np.where(undefined[:, None], np.nan, raw / np.where(mass > 0.0, mass, 1.0))
+            ref = v.copy()
+            for i in np.flatnonzero(~undefined):
+                ref[i] = v[i] / v[i].sum()
+        else:
+            assume(raw.sum() > 0.0)
+            v = raw / raw.sum()
+            ref = v / v.sum()
+        got = stored(kind, v)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+        at = data.draw(st.sampled_from(np.flatnonzero(~np.isnan(v)).tolist()), label="at")
+        negative = -data.draw(st.floats(1e-300, 1.0), label="negative")
+        for value in (math.nan, math.inf, -math.inf, negative):
+            bad = v.copy()
+            bad.flat[at] = value
+            with pytest.raises(DistributionError):
+                kind(bad)
+        factor = data.draw(
+            st.one_of(st.floats(0.0, 1.0 - 1e-8), st.floats(1.0 + 1e-8, 10.0)),
+            label="factor",
+        )
+        bad = v.copy()
+        if kind is ConditionalTable:
+            bad[at // shape[1]] *= factor  # the defined row holding that cell
+        else:
+            bad *= factor
+        with pytest.raises(DistributionError, match="sum to"):
+            kind(bad)
+
+        small = list(shape)
+        small[data.draw(st.integers(0, 2), label="axis") if kind is Joint3 else -1] = 1
+        ones = np.ones(small)  # every distribution in it has mass 1
+        with pytest.raises(DistributionError, match="at least 2 symbols"):
+            kind(ones if kind is ConditionalTable else ones / ones.size)
 
 
 class TestEntropy:

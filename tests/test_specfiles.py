@@ -8,7 +8,7 @@ from rolemodel import (
     sample_arrays,
     scenario_b,
 )
-from rolemodel.errors import DistributionError, SpecFormatError
+from rolemodel.errors import DimensionError, DistributionError, SpecFormatError
 from rolemodel.specfiles import (
     read_estimator,
     read_samples,
@@ -155,6 +155,20 @@ class TestSampleFiles:
         path = tmp_path / "samples.csv"
         write_samples(path, pairs)
         assert read_samples(path) == pairs
+
+    def test_write_takes_numpy_integers(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        write_samples(path, zip(np.array([1, 0]), np.array([0, 2])))
+        assert path.read_text() == "y,z\n1,0\n0,2\n"
+
+    @pytest.mark.parametrize("bad", [(0.9, 1.7), ("1", "0"), (1, 2, 0)])
+    def test_failed_write_leaves_no_file(self, tmp_path, bad):
+        # a pair that is not two integers is refused, not truncated, after
+        # earlier rows were already written
+        path = tmp_path / "samples.csv"
+        with pytest.raises(DimensionError, match="pair of integers"):
+            write_samples(path, [(0, 1), (1, 0), bad])
+        assert not path.exists()
 
     def test_header_required(self, tmp_path):
         path = write(tmp_path, "z,y\n0,1\n", name="s.csv")

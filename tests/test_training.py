@@ -438,9 +438,10 @@ class TestTrainRun:
         assert a.param_trace != b.param_trace
 
     def test_triples_rejected(self, oracle_b):
-        # blind by type: a sample carrying x, or anything else not a pair, is refused
+        # blind by type: a sample carrying x, or anything else not a pair, is refused,
+        # and so is a float or string symbol, never truncated or parsed
         cfg = TrainerConfig(n_samples=300)
-        for bad in [(1, 2, 0), (1,), 7]:
+        for bad in [(1, 2, 0), (1,), 7, (0.9, 1.7), ("1", "0")]:
             with pytest.raises(DimensionError, match=r"a sample is a \(y, z\) pair"):
                 train_run([(0, 0)] * 299 + [bad], cfg, oracle_b)
             with pytest.raises(DimensionError, match="pair"):
@@ -448,6 +449,8 @@ class TestTrainRun:
             # the whole preseed is checked, not only the pairs that stay in the window
             with pytest.raises(DimensionError, match="pair"):
                 binary_state([0.5, 0.5], 2, oracle_b, buffer=[bad, (0, 0), (1, 1)])
+        state = train_step(binary_state([0.5, 0.5], 5, oracle_b), (np.int64(1), np.int64(0)))
+        assert state.window_buffer[-1] == (1, 0)
 
     def test_joint_source_equals_pair_stream(self, joint_b, oracle_b):
         cfg = TrainerConfig(n_samples=1500, seed=4)
