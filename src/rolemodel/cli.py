@@ -211,8 +211,8 @@ def cmd_example_b(args) -> int:
     # the exact posterior
     expected = sc.expected_posterior
     layout = _free_param_index(expected.n_given, expected.n_target)
-    final = trace.rows[-1]
-    got = dict(zip(layout, (float(v) for v in final[2:])))
+    final_divergence, *final_params = trace.values[-1].tolist()
+    got = dict(zip(layout, final_params))
     want = {name: float(expected.p.flat[i]) for name, i in layout.items()}
     err = {name: abs(got[name] - want[name]) for name in layout}
     ok = all(e <= args.tolerance for e in err.values())
@@ -225,7 +225,7 @@ def cmd_example_b(args) -> int:
             f"final {name} = {got[name]:.6f}   exact {want[name]:.6f}   error {err[name]:.6f}"
             for name in layout
         ),
-        f"final windowed divergence = {final[1]:.6f} bits",
+        f"final windowed divergence = {final_divergence:.6f} bits",
         "",
         f"{'PASS' if ok else 'FAIL'} trained parameters within {args.tolerance} of the exact posterior",
     ]
@@ -234,7 +234,7 @@ def cmd_example_b(args) -> int:
         "seed": args.seed,
         "n_samples": args.samples,
         "trace_path": str(trace_path),
-        "final": {**got, "divergence_bits": final[1]},
+        "final": {**got, "divergence_bits": final_divergence},
         "exact": want,
         "errors": err,
         "tolerance": args.tolerance,

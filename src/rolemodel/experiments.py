@@ -15,15 +15,26 @@ For a two-symbol source and a two-symbol observation the parameter
 columns are q_0 = Q(0|0) and q_1 = Q(1|1), the two free parameters of
 the estimator; larger alphabets get one column per free entry, named
 q_<z>_<x>.
+
+A TraceFile holds its body as columns, an int64 step array and a
+float64 value array, from the trainer's recorded columns to the file
+and back; its rows as tuples are built only when asked for. The reader
+types the header lines in Python and parses the body in one numpy call.
+Where that parse might not read the body as the line reader does, the
+line reader reads the file again, so every error names its path:lineno.
+Integers in a trace (steps and the integer settings) are ASCII digits,
+and no number may contain '_' or a character outside ASCII, although
+int() and float() alone take both.
 """
 
 from __future__ import annotations
 
-import math
 import operator
+import re
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +136,29 @@ BUILTIN_SCENARIOS = {"example-a": scenario_a, "example-b": scenario_b}
 
 
 _STEPS_INCREASE = "steps must be strictly increasing"
+_STEP_MAX = int(np.iinfo(np.int64).max)
+# a line whose step field carries a sign, which numpy's integer parser takes
+# and the line reader's digit rule does not; searched in "\n" + body, since
+# a literal first character makes the search fast
+_SIGNED_STEP = re.compile(r"\n\s*[+-]")
+_WRITE_CHUNK = 8192  # rows formatted per write
+
+
+def _ascii_int(text: str) -> int:
+    """The integer a field spells in ASCII digits, surrounding whitespace
+    stripped. int() alone also takes a sign, '_' between digits and other
+    scripts' digits; str.isdigit alone takes superscripts."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a nonnegative integer in ASCII digits")
+    return int(text)
+
+
+def _ascii_float(text: str) -> float:
+    """float(text) for ASCII text without '_', which float() alone takes."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} is not a number in ASCII without '_'")
+    return float(text)
 
 
 def _one_line(text: str) -> bool:
@@ -137,12 +171,24 @@ def _header_value(key: str, text: str, where: str = ""):
     float for _FLOAT_KEYS, else the text itself."""
     try:
         if key in _INT_KEYS:
-            return int(text)
+            return _ascii_int(text)
         if key in _FLOAT_KEYS:
-            return float(text)
+            return _ascii_float(text)
     except ValueError:
         raise SpecFormatError(f"{where}bad value {text!r} for {key}") from None
     return text
+
+
+def _typed_header(entries: dict) -> dict:
+    header = {}
+    for key, value in dict(entries).items():
+        key, text = str(key), str(value)
+        if not key or "=" in key or not _one_line(key) or not _one_line(text):
+            raise SpecFormatError(
+                f"header entry {key!r} = {text!r} cannot be written as a trace line"
+            )
+        header[key] = _header_value(key, text)
+    return header
 
 
 def _check_columns(cols: tuple, where: str = "") -> None:
@@ -153,99 +199,183 @@ def _check_columns(cols: tuple, where: str = "") -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TraceFile:
-    """One training run as data: metadata header plus per-step rows.
+    """One training run as data: metadata header plus a columnar body.
 
-    Each row is (step, windowed divergence in bits, free parameters...).
-    Steps are strictly increasing and every row matches the column
-    header, whose first two names are fixed. Every header entry reads
-    back as stored: keys are nonempty, without '=', and neither key nor
-    value (as str) has a line break or leading or trailing whitespace;
-    each value is stored as the reader returns its str.
+    ``steps`` is a read-only int64 array of nonnegative, strictly
+    increasing steps; ``values`` a read-only float64 array with one row
+    per step and one column per name after ``step`` in ``columns``: the
+    windowed divergence in bits, then the free parameters. ``rows``
+    gives the same body as (step, divergence, parameters...) tuples of
+    Python numbers, built on first access. The constructor takes such
+    rows, each as wide as the column header; ``from_columns`` takes the
+    arrays. Every header entry reads back as stored: keys are nonempty,
+    without '=', and neither key nor value (as str) has a line break or
+    leading or trailing whitespace; each value is stored as the reader
+    returns its str.
     """
 
     header: dict
     columns: tuple
-    rows: tuple
+    steps: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        header = {}
-        for key, value in dict(self.header).items():
-            key, text = str(key), str(value)
-            if not key or "=" in key or not _one_line(key) or not _one_line(text):
-                raise SpecFormatError(
-                    f"header entry {key!r} = {text!r} cannot be written as a trace line"
-                )
-            header[key] = _header_value(key, text)
-        cols = tuple(self.columns)
+    def __init__(self, header: dict, columns, rows=()):
+        cols = tuple(columns)
         _check_columns(cols)
-        rows = tuple(tuple(r) for r in self.rows)
-        last = None
+        rows = [tuple(r) for r in rows]
         for r in rows:
             if len(r) != len(cols):
-                raise SpecFormatError(
-                    f"row of width {len(r)} under {len(cols)} columns"
-                )
-            if last is not None and r[0] <= last:
-                raise SpecFormatError(_STEPS_INCREASE)
-            last = r[0]
-        object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "header", header)
+                raise SpecFormatError(f"row of width {len(r)} under {len(cols)} columns")
+        try:
+            steps = [operator.index(r[0]) for r in rows]
+            values = [[float(v) for v in r[1:]] for r in rows]
+        except (TypeError, ValueError) as exc:
+            raise SpecFormatError(
+                f"a step must be an integer and a value a number: {exc}"
+            ) from None
+        body = np.array(values, dtype=np.float64).reshape(len(rows), len(cols) - 1)
+        self._set(header, cols, steps, body)
+
+    @classmethod
+    def from_columns(cls, header: dict, columns, steps, values) -> "TraceFile":
+        """A trace from its body as arrays: steps of shape (rows,) and
+        values of shape (rows, len(columns) - 1), both copied."""
+        trace = cls.__new__(cls)
+        trace._set(header, tuple(columns), steps, values)
+        return trace
+
+    def _set(self, header, cols, steps, values) -> None:
+        header = _typed_header(header)
+        _check_columns(cols)
+        try:
+            steps = np.array(steps, dtype=np.int64)
+        except OverflowError:
+            raise SpecFormatError("a step does not fit in 64 bits") from None
+        values = np.array(values, dtype=np.float64)
+        if steps.ndim != 1 or values.shape != (len(steps), len(cols) - 1):
+            raise SpecFormatError(
+                f"a body of shape {steps.shape} and {values.shape} under {len(cols)} columns"
+            )
+        if len(steps) and steps[0] < 0:
+            raise SpecFormatError("steps must be nonnegative")
+        if (np.diff(steps) <= 0).any():
+            raise SpecFormatError(_STEPS_INCREASE)
+        steps.flags.writeable = False
+        values.flags.writeable = False
+        for name, value in (("header", header), ("columns", cols),
+                            ("steps", steps), ("values", values)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The body as (step, divergence, parameters...) tuples."""
+        return tuple(zip(self.steps.tolist(), *self.values.T.tolist()))
 
     def write(self, path) -> None:
-        """Write the header in its own order, then the columns and rows,
-        line by line. A write that fails removes the partial file."""
+        """Write the header in its own order, then the columns and the
+        body, a chunk of rows at a time. A write that fails removes the
+        partial file."""
         with create_text(path) as fh:
             for key, value in self.header.items():
                 fh.write(f"# {key} = {value}\n")
             fh.write(",".join(self.columns) + "\n")
-            for r in self.rows:
-                fh.write(",".join([str(r[0])] + [repr(float(v)) for v in r[1:]]) + "\n")
+            for lo in range(0, len(self.steps), _WRITE_CHUNK):
+                hi = lo + _WRITE_CHUNK
+                fields = [map(str, self.steps[lo:hi].tolist())]
+                fields += [map(repr, col) for col in self.values[lo:hi].T.tolist()]
+                fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
     @classmethod
     def read(cls, path) -> "TraceFile":
+        """Read a trace file: the header lines one by one, then the body in
+        one numpy parse. A body that parse might not read as the line
+        reader does (a parse error or warning, text outside ASCII, a
+        signed step, steps not increasing) is read again by the line
+        reader, so every error names its path and line."""
         header = {}
-        columns = None
-        rows = []
-        last = -math.inf
         with open_text(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if "=" not in body:
-                        raise SpecFormatError(
-                            f"{path}:{lineno}: metadata line without '='"
-                        )
-                    key, _, value = body.partition("=")
-                    key = key.strip()
-                    header[key] = _header_value(key, value.strip(), f"{path}:{lineno}: ")
-                    continue
-                parts = line.split(",")
-                if columns is None:
-                    columns = tuple(parts)
-                    _check_columns(columns, f"{path}:{lineno}: ")
-                    continue
-                if len(parts) != len(columns):
-                    raise SpecFormatError(
-                        f"{path}:{lineno}: row of width {len(parts)} under "
-                        f"{len(columns)} columns"
-                    )
-                try:
-                    step = int(parts[0])
-                    rows.append((step, *map(float, parts[1:])))
-                except ValueError as exc:
-                    raise SpecFormatError(f"{path}:{lineno}: bad row: {exc}") from None
-                if step <= last:
-                    raise SpecFormatError(f"{path}:{lineno}: {_STEPS_INCREASE}")
-                last = step
-        if columns is None:
-            raise SpecFormatError(f"{path}: no column header found")
-        return cls(header, columns, tuple(rows))
+            columns, _ = _read_head(fh, path, header)
+            try:
+                body = fh.read()
+            except UnicodeDecodeError:
+                body = None
+        if body is None or not body.isascii() or _SIGNED_STEP.search("\n" + body):
+            return _read_lines(path)
+        # split on "\n" only, as iterating the file does
+        lines = body.split("\n")
+        del body
+        row = [("step", np.int64), ("values", np.float64, (len(columns) - 1,))]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return _read_lines(path)
+        if (np.diff(table["step"]) <= 0).any():
+            return _read_lines(path)
+        return cls.from_columns(header, columns, table["step"], table["values"])
+
+
+def _metadata_line(header: dict, line: str, where: str) -> None:
+    body = line[1:].strip()
+    if "=" not in body:
+        raise SpecFormatError(f"{where}metadata line without '='")
+    key, _, value = body.partition("=")
+    key = key.strip()
+    header[key] = _header_value(key, value.strip(), where)
+
+
+def _read_head(fh, path, header: dict) -> tuple:
+    """Read metadata lines into ``header`` up to the column header;
+    return (columns, line number of the column header)."""
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}: "
+        if line.startswith("#"):
+            _metadata_line(header, line, where)
+            continue
+        columns = tuple(line.split(","))
+        _check_columns(columns, where)
+        return columns, lineno
+    raise SpecFormatError(f"{path}: no column header found")
+
+
+def _read_lines(path) -> TraceFile:
+    """The line reader: a trace file one line at a time, every error
+    naming its line. Steps are ASCII digits, values ASCII numbers
+    without '_'; metadata lines may follow the column header."""
+    header, steps, values = {}, [], []
+    with open_text(path) as fh:
+        columns, head = _read_head(fh, path, header)
+        for lineno, raw in enumerate(fh, start=head + 1):
+            line = raw.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}: "
+            if line.startswith("#"):
+                _metadata_line(header, line, where)
+                continue
+            parts = line.split(",")
+            if len(parts) != len(columns):
+                raise SpecFormatError(
+                    f"{where}row of width {len(parts)} under {len(columns)} columns"
+                )
+            try:
+                step = _ascii_int(parts[0])
+                values.append([_ascii_float(p) for p in parts[1:]])
+            except ValueError as exc:
+                raise SpecFormatError(f"{where}bad row: {exc}") from None
+            if step > _STEP_MAX:
+                raise SpecFormatError(f"{where}step {step} does not fit in 64 bits")
+            if steps and step <= steps[-1]:
+                raise SpecFormatError(f"{where}{_STEPS_INCREASE}")
+            steps.append(step)
+    body = np.array(values, dtype=np.float64).reshape(len(steps), len(columns) - 1)
+    return TraceFile.from_columns(header, columns, steps, body)
 
 
 def _free_param_index(nz: int, nx: int) -> dict:
@@ -270,12 +400,8 @@ def run_figure_traces(
     state = train_run(joint, config, oracle)
     layout = _free_param_index(joint.nz, joint.nx)
     columns = ("step", "divergence_bits", *layout)
-    # alphabets have >= 2 symbols, so >= 2 free entries: pick returns a tuple
-    pick = operator.itemgetter(*layout.values())
-    rows = tuple(
-        (step, div) + pick(flat)
-        for (step, div), (_, flat) in zip(state.divergence_trace, state.param_trace)
-    )
+    steps, divergence, params = state.trace_columns()
+    values = np.column_stack([divergence, params[:, list(layout.values())]])
     from . import __version__
 
     header = {
@@ -290,7 +416,7 @@ def run_figure_traces(
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    trace = TraceFile(header, columns, rows)
+    trace = TraceFile.from_columns(header, columns, steps, values)
     trace.write(out_path)
     return trace
 

@@ -19,7 +19,8 @@ Kinds are z_channel (parameter ``crossover``), bec (parameter
 the same syntax with only ``row_<i>`` keys, one distribution over the
 source alphabet per observed symbol; the literal ``undefined`` marks a
 row with no defined distribution. Sample logs are CSV with the exact
-header ``y,z`` and one pair of integer symbol indices per row.
+header ``y,z`` and one pair of nonnegative integer symbol indices per
+row, written in ASCII digits (no sign, no '_', no other script's digits).
 
 Format problems raise SpecFormatError carrying the path and the line
 number (bytes that are not UTF-8: the path only); whether the numbers
@@ -34,7 +35,7 @@ from pathlib import Path
 from .channels import ChannelSpec, bec, build_joint, general_channel, to_matrix, z_channel
 from .errors import SpecFormatError, create_text, open_text
 from .estimators import direct_solution
-from .experiments import Scenario
+from .experiments import Scenario, _ascii_int
 from .probability import ConditionalTable, Simplex
 from .training import _coerce_sample
 
@@ -216,14 +217,12 @@ def read_samples(path) -> list:
             if len(parts) != 2:
                 raise SpecFormatError(f"{path}:{lineno}: expected two columns")
             try:
-                y, z = int(parts[0]), int(parts[1])
+                pairs.append((_ascii_int(parts[0]), _ascii_int(parts[1])))
             except ValueError:
                 raise SpecFormatError(
-                    f"{path}:{lineno}: symbol indices must be integers"
+                    f"{path}:{lineno}: symbol indices must be nonnegative "
+                    "integers in ASCII digits"
                 ) from None
-            if y < 0 or z < 0:
-                raise SpecFormatError(f"{path}:{lineno}: negative symbol index")
-            pairs.append((y, z))
     if not pairs:
         raise SpecFormatError(f"{path}: no samples after the header")
     return pairs

@@ -49,6 +49,13 @@ rows and one negative-entropy accumulator, so a window slide costs
 O(nx). A z-symbol's sums are reset to exact zeros when its last sample
 leaves, so no drift survives an empty group. At nx = 2 the window and
 row updates run unrolled, with the generic loops' float operations.
+
+The traces are recorded as two flat columns of doubles, the windowed
+divergence and the nz * nx estimator entries of each recorded step, so
+a long run holds no per-step Python objects. Recorded steps are
+contiguous from the window length, so no step column is kept. The
+(step, value) lists ``divergence_trace`` and ``param_trace`` are built
+from the columns on access; ``trace_columns`` returns them as arrays.
 """
 
 from __future__ import annotations
@@ -166,10 +173,12 @@ class TrainerState:
 
     Public surface: ``config``, ``est`` (the current estimator),
     ``step`` (samples consumed), ``window_buffer`` (the (y, z) pairs
-    currently in the window), and the two traces, ``divergence_trace``
-    holding (step, windowed divergence) and ``param_trace`` holding
-    (step, flattened estimator entries), both recorded from the first
-    step at which the window is full.
+    currently in the window), and the traces, recorded from the first
+    step at which the window is full. They are kept as columns of
+    doubles; ``trace_columns()`` copies them into arrays, and the lists
+    ``divergence_trace`` of (step, windowed divergence) and
+    ``param_trace`` of (step, flattened estimator entries) are built
+    from them on each access.
     """
 
     def __init__(
@@ -187,8 +196,11 @@ class TrainerState:
         self.step = 0
         self.updates = 0
         self.window_buffer = deque()
-        self.divergence_trace = []
-        self.param_trace = []
+        # imported on first use, so that importing the package loads no new module
+        from array import array
+
+        self._divergences = array("d")
+        self._params = array("d")
         self._nz = est.n_given
         self._nx = est.n_target
         self._q = [v for row in est.p.tolist() for v in _complete(row[:-1])]
@@ -215,6 +227,28 @@ class TrainerState:
     def params(self) -> tuple:
         """Current estimator entries, flattened row-major."""
         return tuple(self._q)
+
+    def _trace_steps(self) -> range:
+        return range(self.window, self.window + len(self._divergences))
+
+    @property
+    def divergence_trace(self) -> list:
+        """(step, windowed divergence) per recorded step, built on access."""
+        return list(zip(self._trace_steps(), self._divergences))
+
+    @property
+    def param_trace(self) -> list:
+        """(step, flattened estimator entries) per recorded step, built on access."""
+        flat = iter(self._params)
+        return list(zip(self._trace_steps(), zip(*[flat] * (self._nz * self._nx))))
+
+    def trace_columns(self) -> tuple:
+        """The traces as new arrays: steps (int64), windowed divergence
+        and the flattened estimator entries, shape (rows, nz * nx)."""
+        n = len(self._divergences)
+        steps = np.arange(self.window, self.window + n, dtype=np.int64)
+        params = np.array(self._params, dtype=np.float64).reshape(n, self._nz * self._nx)
+        return steps, np.array(self._divergences, dtype=np.float64), params
 
     def _add(self, y: int, z: int):
         # the one way into the window: push (y, z), evict past the window
@@ -388,8 +422,8 @@ def train_step(state: TrainerState, sample) -> TrainerState:
         state.updates += 1
     state.step = symbol
     if symbol >= state.window:
-        state.divergence_trace.append((symbol, windowed_divergence(state)))
-        state.param_trace.append((symbol, state.params()))
+        state._divergences.append(windowed_divergence(state))
+        state._params.extend(state.params())
     return state
 
 
@@ -401,12 +435,13 @@ def train_run(
     """Run a full training pass and return the final state.
 
     ``source`` is either a Joint3, in which case config.n_samples
-    triples are drawn with config.seed and only their (y, z) entries are
-    kept, or an iterable of (y, z) pairs. The run must contain at least
-    config.start_step samples. The estimator starts at config.init when
-    given, else uniform rows; for a stream source without init, the z
-    alphabet is taken to be 0..max(z) observed. An init whose row count
-    differs from a Joint3 source's z alphabet raises DimensionError.
+    triples are drawn with config.seed and their (y, z) entries are fed
+    to the trainer pair by pair, or an iterable of (y, z) pairs. The run
+    must contain at least config.start_step samples. The estimator
+    starts at config.init when given, else uniform rows; for a stream
+    source without init, the z alphabet is taken to be 0..max(z)
+    observed. An init whose row count differs from a Joint3 source's z
+    alphabet raises DimensionError.
     """
     if isinstance(source, Joint3):
         if config.init is not None and config.init.n_given != source.nz:
@@ -414,15 +449,16 @@ def train_run(
                 f"init has {config.init.n_given} rows, the source {source.nz} z-symbols"
             )
         _, ys, zs = sample_arrays(source, config.seed, config.n_samples)
-        pairs = list(zip(ys.tolist(), zs.tolist()))
+        pairs, n_pairs = zip(ys.tolist(), zs.tolist()), config.n_samples
         nz = source.nz
     else:
         pairs = [_coerce_sample(s) for s in source]
+        n_pairs = len(pairs)
         nz = max((z for _, z in pairs), default=0) + 1
-    if len(pairs) < config.start_step:
+    if n_pairs < config.start_step:
         raise DistributionError(
             f"need at least start_step = {config.start_step} samples, "
-            f"got {len(pairs)}"
+            f"got {n_pairs}"
         )
     est = config.init
     if est is None:

@@ -295,6 +295,17 @@ class TestTrainEvaluate:
         assert "format error" in captured.err
         assert "bad.spec: not UTF-8" in captured.err
 
+    def test_non_ascii_digit_samples_are_format_error(self, tmp_path, spec_path, capsys):
+        samples = tmp_path / "log.csv"
+        samples.write_text("y,z\n0,1\n1_0,0\n", encoding="utf-8")
+        est_path = tmp_path / "est.txt"
+        code, captured = run(
+            capsys, "train", spec_path, "--samples", samples, "--out", est_path
+        )
+        assert code == 2
+        assert "log.csv:3: symbol indices" in captured.err
+        assert not est_path.exists()
+
     def test_non_utf8_samples_are_format_error(self, tmp_path, spec_path, capsys):
         samples = tmp_path / "log.csv"
         samples.write_bytes(b"y,z\n0,1\n\xff,0\n")

@@ -1,8 +1,13 @@
+import contextlib
+import errno
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rolemodel import experiments
+from rolemodel.cli import main
 from rolemodel import (
     ConditionalTable,
     Joint3,
@@ -221,13 +226,91 @@ class TestTraceFile:
         t.write(path)
         assert TraceFile.read(path).header == t.header
 
-    def test_failed_write_leaves_no_file(self, tmp_path):
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # the disk fills once the header is out: the partial file goes
+        written = []
+        create_text = experiments.create_text
+
+        class DiskFullAfterHeader:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                if text[:1].isdigit():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(text)
+                return self.fh.write(text)
+
+        @contextlib.contextmanager
+        def filling(path):
+            with create_text(path) as fh:
+                yield DiskFullAfterHeader(fh)
+
+        monkeypatch.setattr(experiments, "create_text", filling)
         t = TraceFile({"seed": 1}, ("step", "divergence_bits", "q_0"),
-                      ((1, 0.5, 0.25), (2, 0.5, "not a number")))
+                      ((1, 0.5, 0.25), (2, 0.5, 0.75)))
         path = tmp_path / "t.csv"
-        with pytest.raises(ValueError):
+        with pytest.raises(OSError, match="No space left"):
             t.write(path)
+        assert written == ["# seed = 1\n", "step,divergence_bits,q_0\n"]
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "row",
+        [(2, 0.5, "not a number"), (2, None, 0.25), (2.5, 0.5, 0.25), (2.0, 0.5, 0.25),
+         ("2", 0.5, 0.25)],
+        ids=["text-value", "none-value", "fractional-step", "float-step", "text-step"],
+    )
+    def test_construction_rejects_non_numbers(self, row):
+        with pytest.raises(SpecFormatError, match="a step must be an integer"):
+            TraceFile({}, ("step", "divergence_bits", "q_0"), ((1, 0.5, 0.25), row))
+
+    @pytest.mark.parametrize("steps", [(-1, 2), (1, 2**63)], ids=["negative", "above-int64"])
+    def test_construction_rejects_steps_it_cannot_write(self, steps):
+        with pytest.raises(SpecFormatError, match="step"):
+            TraceFile({}, ("step", "divergence_bits", "q_0"), [(s, 0.5, 0.25) for s in steps])
+
+    def test_columns_are_read_only(self, tmp_path):
+        trace, path, _ = self.make_trace(tmp_path, seed=5)
+        back = TraceFile.read(path)
+        for t in (trace, back):
+            assert t.steps.dtype == np.int64 and t.values.dtype == np.float64
+            assert t.values.shape == (len(t.steps), len(t.columns) - 1)
+            with pytest.raises(ValueError):
+                t.values[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                t.steps[0] = 1
+
+    def test_cli_trace_is_read_in_one_parse(self, tmp_path, monkeypatch, capsys):
+        assert main(["example-b", "--seed", "3", "--samples", "2000", "--out",
+                     str(tmp_path), "--tolerance", "1"]) == 0
+        capsys.readouterr()
+        path = tmp_path / "example_b_seed3_trace.csv"
+        want = experiments._read_lines(path)
+
+        def refuse(path):
+            raise AssertionError("the trace fell back to the line reader")
+
+        monkeypatch.setattr(experiments, "_read_lines", refuse)
+        back = TraceFile.read(path)
+        assert back.rows == want.rows and len(back.rows) == 2000 - 100 + 1
+        assert back.header == want.header
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", "1_0"), ("seed", "\uff11"), ("seed", "+1"), ("seed", "\u00b9"),
+         ("clamp_epsilon", "0.0_1"), ("step_size_tau", "\uff11000.0")],
+        ids=["underscore", "fullwidth", "sign", "superscript", "float-underscore",
+             "float-fullwidth"],
+    )
+    def test_typed_header_values_are_ascii(self, tmp_path, key, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# {key} = {value}\nstep,divergence_bits,q_0\n1,0.5,0.25\n",
+                        encoding="utf-8")
+        with pytest.raises(SpecFormatError, match="bad.csv:1: bad value"):
+            TraceFile.read(path)
+        with pytest.raises(SpecFormatError, match="bad value"):
+            TraceFile({key: value}, ("step", "divergence_bits", "q_0"))
 
     def test_read_rejects_non_utf8(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -240,6 +323,88 @@ class TestTraceFile:
         path.write_text("# seed = 1\n")
         with pytest.raises(SpecFormatError):
             TraceFile.read(path)
+
+
+_COLUMNS = {k: ("step", "divergence_bits", *(f"q_{i}" for i in range(k - 2)))
+            for k in range(3, 7)}
+# floats as repr writes them back exactly: every finite one, both zeros,
+# subnormals, the infinities, and the one nan that repr and float() keep
+_FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.225073858507201e-308, math.inf, -math.inf, math.nan]
+)
+
+
+@st.composite
+def _traces(draw):
+    width = draw(st.integers(3, 6))
+    steps = sorted(draw(st.sets(st.integers(0, 2**63 - 1), max_size=12)))
+    rows = [(s, *draw(st.lists(_FLOATS, min_size=width - 1, max_size=width - 1)))
+            for s in steps]
+    return TraceFile({"seed": draw(st.integers(0, 10**6)), "note": "x"}, _COLUMNS[width], rows)
+
+
+def _bits(trace):
+    return trace.steps.tolist(), trace.values.view(np.int64).tolist()
+
+
+class TestTraceColumns:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(trace=_traces())
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, trace):
+        path = tmp_path_factory.mktemp("trace") / "t.csv"
+        trace.write(path)
+        back = TraceFile.read(path)
+        assert back.columns == trace.columns and back.header == trace.header
+        assert _bits(back) == _bits(trace)
+        assert _bits(experiments._read_lines(path)) == _bits(trace)
+        again = path.with_name("again.csv")
+        back.write(again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1,0.5,0.25\n\n2,0.5,0.25\n",
+            "1,0.5,0.25\n   \n2,0.5,0.25\n",
+            "1,0.5,0.25\n# note = late\n2,0.5,0.25\n",
+            "1,0.5,0.25\n# c\n",
+            "1_0,0.5,0.25\n",
+            "\uff11,0.5,0.25\n",
+            "5.0,0.5,0.25\n",
+            "1e2,0.5,0.25\n",
+            "+2,0.5,0.25\n",
+            "1,0.5,0.25\n -2,0.5,0.25\n",
+            "1,0.5\n",
+            "3,0.5,0.25\n2,0.5,0.25\n",
+            "1,0.5,0.25 # c\n",
+            '1,"0.5",0.25\n',
+            "9223372036854775808,0.5,0.25\n",
+            "1,0.5,2_5.0\n",
+            "1,0.5,\uff10.5\n",
+            "1,0.5,\u00a00.25\n",
+            "\t1 , 0.5 ,-inf\n2,nan,-0.0\n",
+            "",
+        ],
+        ids=["blank-line", "whitespace-line", "late-metadata", "late-comment",
+             "underscore-step", "fullwidth-step", "float-step", "exponent-step",
+             "signed-step", "negative-step", "ragged-row", "decreasing-step",
+             "trailing-comment", "quoted-value", "step-above-int64",
+             "underscore-value", "fullwidth-value", "nbsp-padded-value", "padded-fields", "no-rows"],
+    )
+    def test_read_agrees_with_the_line_reader(self, tmp_path, body):
+        path = tmp_path / "t.csv"
+        path.write_text("# seed = 1\nstep,divergence_bits,q_0\n" + body, encoding="utf-8")
+        try:
+            want = experiments._read_lines(path)
+        except SpecFormatError as exc:
+            with pytest.raises(SpecFormatError) as got:
+                TraceFile.read(path)
+            assert str(got.value) == str(exc)
+            assert str(exc).startswith(f"{path}:")
+        else:
+            got = TraceFile.read(path)
+            assert got.header == want.header and got.columns == want.columns
+            assert _bits(got) == _bits(want)
 
 
 class TestBruteForce:

@@ -187,6 +187,20 @@ class TestSampleFiles:
         with pytest.raises(SpecFormatError, match="s.csv:2"):
             read_samples(path)
 
+    @pytest.mark.parametrize(
+        "row", ["1_0,2", "\uff11, 0", "+1,0", "\u00b2,0", "1,0x1"],
+        ids=["underscore", "fullwidth", "sign", "superscript", "hex"],
+    )
+    def test_symbols_are_ascii_digits(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"y,z\n{row}\n", encoding="utf-8")
+        with pytest.raises(SpecFormatError, match="s.csv:2: symbol indices"):
+            read_samples(path)
+
+    def test_padded_symbols_accepted(self, tmp_path):
+        path = write(tmp_path, "y,z\n 1 ,\t0\n", name="s.csv")
+        assert read_samples(path) == [(1, 0)]
+
     def test_empty_log_rejected(self, tmp_path):
         path = write(tmp_path, "y,z\n", name="s.csv")
         with pytest.raises(SpecFormatError, match="no samples"):

@@ -387,6 +387,23 @@ class TestTrainStep:
         assert state.divergence_trace[-1][0] == 137
         assert [s for s, _ in state.param_trace] == [s for s, _ in state.divergence_trace]
 
+    def test_trace_lists_are_built_from_the_columns(self, joint_ternary):
+        oracle = RoleModelOracle.from_joint(joint_ternary)
+        cfg = TrainerConfig(n_samples=300, window=25, start_step=26, seed=4)
+        state = train_run(joint_ternary, cfg, oracle)
+        steps, divergence, params = state.trace_columns()
+        assert steps.dtype == np.int64 and steps.tolist() == list(range(25, 301))
+        assert params.shape == (276, joint_ternary.nz * joint_ternary.nx)
+        assert state.divergence_trace == list(zip(steps.tolist(), divergence.tolist()))
+        assert state.param_trace == [
+            (s, tuple(row)) for s, row in zip(steps.tolist(), params.tolist())
+        ]
+        step, flat = state.param_trace[-1]
+        assert type(step) is int and type(flat) is tuple and flat == state.params()
+        # the columns are copies: the run can go on while they are held
+        train_step(state, (0, 0))
+        assert len(state.divergence_trace) == 277 and len(steps) == 276
+
     def test_shortest_legal_run_updates_once(self, oracle_b, joint_b):
         cfg = TrainerConfig(n_samples=6, window=5, start_step=6)
         state = train_run(joint_b, cfg, oracle_b)
