@@ -47,11 +47,12 @@ Q0_B = 0.425 / 0.5875           # = 34/47
 Q1_B = 0.3375 / 0.4125          # = 9/11
 ED_OPT_B = 0.5319936433323948   # H(X|Z) - H(X|Y) on the erasure scenario
 
-# Golden sha256 digests of three training trajectories (Python 3.11.7,
+# Golden sha256 digests of four training trajectories (Python 3.11.7,
 # numpy 2.4.6). A changed digest is a behaviour change, not noise.
 EXAMPLE_B_TRACE_DIGEST = "72a3e7694d6a68bb473609cc8b97ca3cc32364d698c2320220d9adae6766f0ec"
 CLAMPED_TRACE_DIGEST = "a9a05de7aa791d5c13f98d817535d6e5fc5fee2e49f6400d012b06f3fb93b2ec"
 TERNARY_RUN_DIGEST = "cd2a70e7452c8639d835af109a0d592cdc548e55d1b2ba18acb24654c30566ba"
+QUATERNARY_CLAMPED_DIGEST = "85e36b3d6b8f28c01382e15a2088ce1972083558867dfd443276015f8812c51c"
 
 
 def binary_entropy(p):
@@ -252,3 +253,19 @@ def test_10_identical_seeds_give_identical_traces(tmp_path):
     )
     run = repr((state.divergence_trace, state.param_trace)).encode()
     assert hashlib.sha256(run).hexdigest() == TERNARY_RUN_DIGEST
+
+    # the generic kernels above nx = 3: four source symbols and a large
+    # step, so thousands of rows go through the projection
+    xy = to_matrix(general_channel(
+        [[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1], [0.1, 0.1, 0.7, 0.1],
+         [0.05, 0.05, 0.1, 0.8]]
+    ))
+    yz = to_matrix(general_channel(
+        [[0.9, 0.1, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8], [0.3, 0.3, 0.4]]
+    ))
+    joint = build_joint(Simplex([0.4, 0.3, 0.2, 0.1]), xy, yz)
+    config = TrainerConfig(n_samples=4000, seed=3, step_size_initial=2.0)
+    state = train_run(joint, config, RoleModelOracle.from_joint(joint))
+    assert sum(v == config.clamp_epsilon for _, flat in state.param_trace for v in flat) > 10_000
+    run = repr((state.divergence_trace, state.param_trace)).encode()
+    assert hashlib.sha256(run).hexdigest() == QUATERNARY_CLAMPED_DIGEST
