@@ -368,7 +368,7 @@ def cmd_train(args) -> int:
         source = read_samples(samples_path)
         n = len(source)
     config = _trainer_config(args, n, init=ConditionalTable.uniform(joint.nz, joint.nx))
-    state = train_run(source, config, oracle)
+    state = train_run(source, config, oracle, traces=False)
     est = state.est
     write_estimator(args.out, est)
 

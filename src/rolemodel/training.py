@@ -47,8 +47,15 @@ so x has no way in. The state is flat lists of plain floats, kept
 incrementally: estimator entries, per z-symbol window sums of posterior
 rows and one negative-entropy accumulator, so a window slide costs
 O(nx). A z-symbol's sums are reset to exact zeros when its last sample
-leaves, so no drift survives an empty group. At nx = 2 the window and
-row updates run unrolled, with the generic loops' float operations.
+leaves, so no drift survives an empty group.
+
+An update is one pass over the whole table: the ratios w / q over the
+flat table, each free entry's leave-one-out sum read through index
+tuples built on construction, then each row's last entry as 1 minus its
+free ones, with the projection only for a row that needs it. A row
+absent from the window has exact-zero sums, so its ratios and its
+gradient are exact zeros and the update leaves it unchanged. At nx = 2
+the window and row updates run unrolled, with the same float operations.
 
 The traces are recorded as two flat columns of doubles, the windowed
 divergence and the nz * nx estimator entries of each recorded step, so
@@ -56,6 +63,8 @@ a long run holds no per-step Python objects. Recorded steps are
 contiguous from the window length, so no step column is kept. The
 (step, value) lists ``divergence_trace`` and ``param_trace`` are built
 from the columns on access; ``trace_columns`` returns them as arrays.
+A run that needs only its final estimator passes ``traces=False`` and
+records nothing.
 """
 
 from __future__ import annotations
@@ -174,8 +183,9 @@ class TrainerState:
     Public surface: ``config``, ``est`` (the current estimator),
     ``step`` (samples consumed), ``window_buffer`` (the (y, z) pairs
     currently in the window), and the traces, recorded from the first
-    step at which the window is full. They are kept as columns of
-    doubles; ``trace_columns()`` copies them into arrays, and the lists
+    step at which the window is full unless ``traces=False``, which
+    leaves them empty. They are kept as columns of doubles;
+    ``trace_columns()`` copies them into arrays, and the lists
     ``divergence_trace`` of (step, windowed divergence) and
     ``param_trace`` of (step, flattened estimator entries) are built
     from them on each access.
@@ -183,7 +193,7 @@ class TrainerState:
 
     def __init__(
         self, est: ConditionalTable, config: TrainerConfig, oracle: RoleModelOracle,
-        buffer: Iterable = (),
+        buffer: Iterable = (), *, traces: bool = True,
     ):
         if not est.defined.all():
             raise DistributionError("the trained estimator must define every row")
@@ -193,6 +203,8 @@ class TrainerState:
             raise DistributionError("clamp_epsilon too large for this X alphabet")
         self.config = config
         self.window = int(config.window)
+        # without traces the first recorded step is out of reach
+        self._record_from = self.window if traces else math.inf
         self.step = 0
         self.updates = 0
         self.window_buffer = deque()
@@ -207,6 +219,12 @@ class TrainerState:
         unrolled = self._nx == 2
         self._slide = _slide2 if unrolled else _slide
         self._update = _update_rows2 if unrolled else _update_rows
+        # each free entry's flat index and the other entries of its row
+        self._free = tuple(
+            (z * self._nx + j, tuple(z * self._nx + k for k in range(self._nx) if k != j))
+            for z in range(self._nz)
+            for j in range(self._nx - 1)
+        )
         table = oracle.posterior_xy.p
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.where(table > 0.0, np.log2(np.maximum(table, 1e-300)), 0.0)
@@ -333,34 +351,50 @@ def windowed_gradient(state: TrainerState) -> np.ndarray:
     m = len(state.window_buffer)
     if m == 0:
         raise EmptyWindowError("the window holds no samples yet")
-    scale = m * _LN2
-    return np.array([g for z in range(state._nz) for g in _row_gradient(state, z, scale)])
+    return np.array(_gradient(state, m * _LN2))
 
 
-def _row_gradient(state: TrainerState, z: int, scale: float) -> list:
-    # G[z, j] for the free entries of row z; scale = m ln 2
+def _gradient(state: TrainerState, scale: float) -> list:
+    # G[z, j] over the free entries of the whole table, row-major; scale = m ln 2.
+    # Each leave-one-out sum reads the other ratios of its row by index.
+    r = _ratios(state)
+    ratio = r.__getitem__
+    d = state._nx - 1
+    return [(math.fsum(map(ratio, others)) / d - r[i]) / scale for i, others in state._free]
+
+
+def _ratios(state: TrainerState) -> list:
+    # w / q over the whole table; a row absent from the window has w == 0.0
+    # exactly, so its ratios are exact zeros
+    w, q = state._w, state._q
+    if min(q) > 0.0:
+        return list(map(operator.truediv, w, q))
+    # only a user init puts an entry at or below 0: check row by row
     nx = state._nx
-    if not state._count[z]:
-        return [0.0] * (nx - 1)
-    i = z * nx
-    q = state._q[i:i + nx]
-    if min(q) <= 0.0:
-        raise DistributionError(_ON_BOUNDARY)
-    r = [w / v for w, v in zip(state._w[i:i + nx], q)]
-    d = nx - 1
-    return [(math.fsum(r[:j] + r[j + 1:]) / d - r[j]) / scale for j in range(d)]
+    r = []
+    for z, used in enumerate(state._count):
+        i = z * nx
+        if not used:
+            r += [0.0] * nx
+        elif min(q[i:i + nx]) <= 0.0:
+            raise DistributionError(_ON_BOUNDARY)
+        else:
+            r += map(operator.truediv, w[i:i + nx], q[i:i + nx])
+    return r
 
 
 def _update_rows(state: TrainerState, eta: float, eps: float):
-    nx, q = state._nx, state._q
-    scale = len(state.window_buffer) * _LN2
-    for z in range(state._nz):
-        i = z * nx
-        grad = _row_gradient(state, z, scale)
-        row = _complete([q[i + j] - eta * g for j, g in enumerate(grad)])
+    q, d = state._q, state._nx - 1
+    grad = _gradient(state, len(state.window_buffer) * _LN2)
+    free = [q[i] - eta * g for (i, _), g in zip(state._free, grad)]
+    table = []
+    for a in range(0, len(free), d):
+        row = free[a:a + d]
+        row.append(1.0 - math.fsum(row))  # _complete, inline
         if min(row) < eps:
             row = _complete(_project(row, eps)[:-1])
-        q[i:i + nx] = row
+        table += row
+    q[:] = table
 
 
 def _update_rows2(state: TrainerState, eta: float, eps: float):
@@ -405,7 +439,8 @@ def _project(row: list, eps: float) -> list:
 
 def train_step(state: TrainerState, sample) -> TrainerState:
     """Consume one (y, z) pair: slide the window, take one gradient step
-    once past the warm-up, and record traces once the window is full.
+    once past the warm-up, and record traces once the window is full
+    (never for a state built with traces=False).
 
     The settings are the state's own config. The step size for the t-th
     update (t = 0, 1, ...) is step_size_initial / (1 + t / step_size_tau).
@@ -421,7 +456,7 @@ def train_step(state: TrainerState, sample) -> TrainerState:
         state._update(state, eta, config.clamp_epsilon)
         state.updates += 1
     state.step = symbol
-    if symbol >= state.window:
+    if symbol >= state._record_from:
         state._divergences.append(windowed_divergence(state))
         state._params.extend(state.params())
     return state
@@ -431,6 +466,8 @@ def train_run(
     source: Union[Joint3, Iterable],
     config: TrainerConfig,
     oracle: RoleModelOracle,
+    *,
+    traces: bool = True,
 ) -> TrainerState:
     """Run a full training pass and return the final state.
 
@@ -441,7 +478,9 @@ def train_run(
     starts at config.init when given, else uniform rows; for a stream
     source without init, the z alphabet is taken to be 0..max(z)
     observed. An init whose row count differs from a Joint3 source's z
-    alphabet raises DimensionError.
+    alphabet raises DimensionError. With ``traces=False`` the state
+    records no traces, for a caller that needs only the final estimator;
+    the trajectory is the same either way.
     """
     if isinstance(source, Joint3):
         if config.init is not None and config.init.n_given != source.nz:
@@ -463,7 +502,7 @@ def train_run(
     est = config.init
     if est is None:
         est = ConditionalTable.uniform(nz, oracle.n_x)
-    state = TrainerState(est, config, oracle)
+    state = TrainerState(est, config, oracle, traces=traces)
     for pair in pairs:
         train_step(state, pair)
     return state

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rolemodel import (
     ConditionalTable,
@@ -8,6 +11,7 @@ from rolemodel import (
     sample_arrays,
     scenario_b,
 )
+from rolemodel.cli import main
 from rolemodel.errors import DimensionError, DistributionError, SpecFormatError
 from rolemodel.specfiles import (
     read_estimator,
@@ -205,3 +209,69 @@ class TestSampleFiles:
         path = write(tmp_path, "y,z\n", name="s.csv")
         with pytest.raises(SpecFormatError, match="no samples"):
             read_samples(path)
+
+
+# rows read_samples refuses; the writer produces none of them
+BAD_SAMPLE_ROWS = [
+    "1", "1,2,3", ",", "1,", "one,0", "-1,0", "+1,0", "1.0,0", "1e3,0",
+    "1_0,2", "\uff11,0", "\u00b2,0", "1,0x1", '"1",0', "1;0",
+]
+
+_PAIRS = st.lists(
+    st.tuples(st.integers(0, 2**70), st.integers(0, 2**70)), min_size=1, max_size=40
+)
+
+
+class TestSampleFileProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pairs=_PAIRS)
+    def test_round_trip(self, tmp_path_factory, pairs):
+        path = tmp_path_factory.mktemp("samples") / "s.csv"
+        write_samples(path, pairs)
+        back = read_samples(path)
+        assert back == pairs
+        assert all(type(v) is int for pair in back for v in pair)
+        again = path.with_name("again.csv")
+        write_samples(again, back)
+        assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        pairs=_PAIRS,
+        pads=st.lists(st.sampled_from(["", " ", "\t", "  "]), min_size=4, max_size=4),
+        blanks=st.lists(st.sampled_from(["", " ", "\t"]), max_size=5),
+        data=st.data(),
+    )
+    def test_padding_and_blank_lines_read_alike(self, tmp_path_factory, pairs, pads, blanks, data):
+        a, b, c, d = pads
+        lines = [f"{a}{y}{b},{c}{z}{d}" for y, z in pairs]
+        for blank in blanks:
+            lines.insert(data.draw(st.integers(0, len(lines)), label="blank at"), blank)
+        path = tmp_path_factory.mktemp("samples") / "s.csv"
+        path.write_text("y,z\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        assert read_samples(path) == pairs
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pairs=_PAIRS, bad=st.sampled_from(BAD_SAMPLE_ROWS), data=st.data())
+    def test_malformed_row_names_its_line(self, tmp_path_factory, pairs, bad, data):
+        lines = [f"{y},{z}" for y, z in pairs]
+        at = data.draw(st.integers(0, len(lines)), label="bad row at")
+        lines.insert(at, bad)
+        path = tmp_path_factory.mktemp("samples") / "s.csv"
+        path.write_text("y,z\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SpecFormatError, match=f"^{re.escape(str(path))}:{at + 2}: "):
+            read_samples(path)
+
+    @pytest.mark.parametrize("bad", BAD_SAMPLE_ROWS)
+    def test_train_exits_2_naming_the_line(self, tmp_path, capsys, bad):
+        spec, samples = tmp_path / "erasure.spec", tmp_path / "log.csv"
+        write_scenario(spec, scenario_b())
+        write_samples(samples, [(0, 0), (1, 1), (2, 0)] * 100)
+        lines = samples.read_text().splitlines()
+        lines.insert(150, bad)  # line 151 of the file
+        samples.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        est = tmp_path / "est.txt"
+        code = main(["train", str(spec), "--samples", str(samples), "--out", str(est)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"format error: {samples}:151: ")
+        assert not est.exists()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rolemodel import training
 from rolemodel import (
@@ -351,6 +351,85 @@ class TestProjection:
         assert all(v - theta <= eps + 1e-9 for v, o in zip(row, out) if o == eps)
 
 
+def per_row_update(state, eta, eps) -> bool:
+    """The per-row update that the whole-table kernel replaced, kept as its
+    reference: row by row, the gradient from the row's own ratios, then
+    the row completed and projected if it left the interior. Returns
+    whether any row was projected."""
+    nx, q = state._nx, state._q
+    scale = len(state.window_buffer) * LN2
+    projected = False
+    for z in range(state._nz):
+        i = z * nx
+        if not state._count[z]:
+            grad = [0.0] * (nx - 1)
+        else:
+            row = q[i:i + nx]
+            if min(row) <= 0.0:
+                raise DistributionError("estimator parameter on the boundary")
+            r = [w / v for w, v in zip(state._w[i:i + nx], row)]
+            d = nx - 1
+            grad = [(math.fsum(r[:j] + r[j + 1:]) / d - r[j]) / scale for j in range(d)]
+        row = training._complete([q[i + j] - eta * g for j, g in enumerate(grad)])
+        if min(row) < eps:
+            row = training._complete(training._project(row, eps)[:-1])
+            projected = True
+        q[i:i + nx] = row
+    return projected
+
+
+class TestWholeTableKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        nx=st.sampled_from([3, 4, 5]),
+        case=st.sampled_from(["absent rows", "projection", "zeros in unused rows", "boundary"]),
+    )
+    def test_matches_the_per_row_update(self, data, nx, case):
+        ny = data.draw(st.integers(1, 4), label="ny")
+        nz = data.draw(st.integers(2, 4), label="nz")
+        oracle = RoleModelOracle(ConditionalTable(data.draw(stochastic_rows(ny, nx))))
+        q = data.draw(stochastic_rows(nz, nx))
+        # every case but "projection" leaves at least one row out of the window
+        n_used = nz if case == "projection" else data.draw(st.integers(1, nz - 1), label="used")
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, ny - 1), st.integers(0, n_used - 1)),
+                min_size=1,
+                max_size=30,
+            ),
+            label="window",
+        )
+        if case == "zeros in unused rows":
+            q[nz - 1, data.draw(st.integers(0, nx - 1), label="zero at")] = 0.0
+            q[nz - 1] /= q[nz - 1].sum()
+        if case == "boundary":
+            _, z = pairs[0]
+            q[z, data.draw(st.integers(0, nx - 1), label="zero at")] = 0.0
+            q[z] /= q[z].sum()
+        big = case == "projection"
+        eta = data.draw(st.floats(1.0, 50.0) if big else st.floats(1e-4, 0.5), label="eta")
+        eps = data.draw(st.floats(1e-3, 0.9 / nx), label="eps")
+
+        cfg = window_config(len(pairs))
+        want = TrainerState(ConditionalTable(q), cfg, oracle, buffer=pairs)
+        got = TrainerState(ConditionalTable(q), cfg, oracle, buffer=pairs)
+        if case == "boundary":
+            with pytest.raises(DistributionError):
+                per_row_update(want, eta, eps)
+            with pytest.raises(DistributionError):
+                training._update_rows(got, eta, eps)
+            return
+        projected = per_row_update(want, eta, eps)
+        training._update_rows(got, eta, eps)
+        assert got._q == want._q
+        # bit for bit, signed zeros included
+        assert [math.copysign(1.0, v) for v in got._q] == [
+            math.copysign(1.0, v) for v in want._q
+        ]
+        assume(projected or not big)
+
+
 class TestTrainStep:
     def test_no_update_before_start_step(self, oracle_b, joint_b):
         cfg = TrainerConfig(n_samples=10, window=5, start_step=8)
@@ -403,6 +482,16 @@ class TestTrainStep:
         # the columns are copies: the run can go on while they are held
         train_step(state, (0, 0))
         assert len(state.divergence_trace) == 277 and len(steps) == 276
+
+    def test_traces_off_records_nothing_and_keeps_the_trajectory(self, joint_ternary):
+        oracle = RoleModelOracle.from_joint(joint_ternary)
+        cfg = TrainerConfig(n_samples=500, seed=2, step_size_initial=2.0)
+        traced = train_run(joint_ternary, cfg, oracle)
+        bare = train_run(joint_ternary, cfg, oracle, traces=False)
+        assert bare.params() == traced.params() and bare.updates == traced.updates
+        assert bare.divergence_trace == [] and bare.param_trace == []
+        steps, divergence, params = bare.trace_columns()
+        assert len(steps) == len(divergence) == 0 and params.shape == (0, 6)
 
     def test_shortest_legal_run_updates_once(self, oracle_b, joint_b):
         cfg = TrainerConfig(n_samples=6, window=5, start_step=6)
