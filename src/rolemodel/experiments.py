@@ -29,7 +29,6 @@ int() and float() alone take both.
 
 from __future__ import annotations
 
-import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -142,13 +141,16 @@ _STEP_MAX = int(np.iinfo(np.int64).max)
 # a literal first character makes the search fast
 _SIGNED_STEP = re.compile(r"\n\s*[+-]")
 _WRITE_CHUNK = 8192  # rows formatted per write
+# what str.strip() removes from ASCII text; a line or field stripped of
+# these alone keeps any other padding for the ASCII checks to refuse
+_ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
 
 
 def _ascii_int(text: str) -> int:
-    """The integer a field spells in ASCII digits, surrounding whitespace
-    stripped. int() alone also takes a sign, '_' between digits and other
-    scripts' digits; str.isdigit alone takes superscripts."""
-    text = text.strip()
+    """The integer a field spells in ASCII digits, surrounding ASCII
+    whitespace stripped. int() alone also takes a sign, '_' between digits
+    and other scripts' digits; str.isdigit alone takes superscripts."""
+    text = text.strip(_ASCII_SPACE)
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{text!r} is not a nonnegative integer in ASCII digits")
     return int(text)
@@ -199,21 +201,22 @@ def _check_columns(cols: tuple, where: str = "") -> None:
         )
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class TraceFile:
     """One training run as data: metadata header plus a columnar body.
 
-    ``steps`` is a read-only int64 array of nonnegative, strictly
-    increasing steps; ``values`` a read-only float64 array with one row
-    per step and one column per name after ``step`` in ``columns``: the
-    windowed divergence in bits, then the free parameters. ``rows``
-    gives the same body as (step, divergence, parameters...) tuples of
-    Python numbers, built on first access. The constructor takes such
-    rows, each as wide as the column header; ``from_columns`` takes the
-    arrays. Every header entry reads back as stored: keys are nonempty,
-    without '=', and neither key nor value (as str) has a line break or
-    leading or trailing whitespace; each value is stored as the reader
-    returns its str.
+    ``steps`` holds one integer step per row, nonnegative and strictly
+    increasing; ``values`` has one row per step and one column per name
+    after ``step`` in ``columns``: the windowed divergence in bits, then
+    the free parameters. The constructor stores read-only copies, an
+    int64 ``steps`` and a float64 ``values``; a step that is not an
+    integer or does not fit in int64, or a value that is not a number,
+    raises SpecFormatError rather than being converted. ``rows`` gives
+    the same body as (step, divergence, parameters...) tuples of Python
+    numbers, built on first access. Every header entry reads back as
+    stored: keys are nonempty, without '=', and neither key nor value
+    (as str) has a line break or leading or trailing whitespace; each
+    value is stored as the reader returns its str.
     """
 
     header: dict
@@ -221,39 +224,20 @@ class TraceFile:
     steps: np.ndarray
     values: np.ndarray
 
-    def __init__(self, header: dict, columns, rows=()):
-        cols = tuple(columns)
-        _check_columns(cols)
-        rows = [tuple(r) for r in rows]
-        for r in rows:
-            if len(r) != len(cols):
-                raise SpecFormatError(f"row of width {len(r)} under {len(cols)} columns")
-        try:
-            steps = [operator.index(r[0]) for r in rows]
-            values = [[float(v) for v in r[1:]] for r in rows]
-        except (TypeError, ValueError) as exc:
-            raise SpecFormatError(
-                f"a step must be an integer and a value a number: {exc}"
-            ) from None
-        body = np.array(values, dtype=np.float64).reshape(len(rows), len(cols) - 1)
-        self._set(header, cols, steps, body)
-
-    @classmethod
-    def from_columns(cls, header: dict, columns, steps, values) -> "TraceFile":
-        """A trace from its body as arrays: steps of shape (rows,) and
-        values of shape (rows, len(columns) - 1), both copied."""
-        trace = cls.__new__(cls)
-        trace._set(header, tuple(columns), steps, values)
-        return trace
-
-    def _set(self, header, cols, steps, values) -> None:
-        header = _typed_header(header)
+    def __post_init__(self):
+        header = _typed_header(self.header)
+        cols = tuple(self.columns)
         _check_columns(cols)
         try:
-            steps = np.array(steps, dtype=np.int64)
-        except OverflowError:
-            raise SpecFormatError("a step does not fit in 64 bits") from None
-        values = np.array(values, dtype=np.float64)
+            steps, values = np.asarray(self.steps), np.asarray(self.values)
+        except ValueError:
+            raise SpecFormatError("steps and values must be rectangular arrays") from None
+        # an empty list has a float dtype; a uint64 array may exceed int64
+        if steps.size and (steps.dtype.kind not in "iu" or steps.max() > _STEP_MAX):
+            raise SpecFormatError("a step must be an integer that fits in int64")
+        if values.size and values.dtype.kind not in "iuf":
+            raise SpecFormatError("a value must be a number")
+        steps, values = steps.astype(np.int64), values.astype(np.float64)
         if steps.ndim != 1 or values.shape != (len(steps), len(cols) - 1):
             raise SpecFormatError(
                 f"a body of shape {steps.shape} and {values.shape} under {len(cols)} columns"
@@ -315,7 +299,7 @@ class TraceFile:
             return _read_lines(path)
         if (np.diff(table["step"]) <= 0).any():
             return _read_lines(path)
-        return cls.from_columns(header, columns, table["step"], table["values"])
+        return cls(header, columns, table["step"], table["values"])
 
 
 def _metadata_line(header: dict, line: str, where: str) -> None:
@@ -352,7 +336,7 @@ def _read_lines(path) -> TraceFile:
     with open_text(path) as fh:
         columns, head = _read_head(fh, path, header)
         for lineno, raw in enumerate(fh, start=head + 1):
-            line = raw.strip()
+            line = raw.strip(_ASCII_SPACE)
             if not line:
                 continue
             where = f"{path}:{lineno}: "
@@ -375,7 +359,7 @@ def _read_lines(path) -> TraceFile:
                 raise SpecFormatError(f"{where}{_STEPS_INCREASE}")
             steps.append(step)
     body = np.array(values, dtype=np.float64).reshape(len(steps), len(columns) - 1)
-    return TraceFile.from_columns(header, columns, steps, body)
+    return TraceFile(header, columns, steps, body)
 
 
 def _free_param_index(nz: int, nx: int) -> dict:
@@ -416,7 +400,7 @@ def run_figure_traces(
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    trace = TraceFile.from_columns(header, columns, steps, values)
+    trace = TraceFile(header, columns, steps, values)
     trace.write(out_path)
     return trace
 

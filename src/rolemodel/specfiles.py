@@ -21,6 +21,9 @@ source alphabet per observed symbol; the literal ``undefined`` marks a
 row with no defined distribution. Sample logs are CSV with the exact
 header ``y,z`` and one pair of nonnegative integer symbol indices per
 row, written in ASCII digits (no sign, no '_', no other script's digits).
+Spec and estimator numbers follow the same rule: reals in ASCII without
+'_', row indices in ASCII digits. Fields are stripped of ASCII whitespace
+only.
 
 Format problems raise SpecFormatError carrying the path and the line
 number (bytes that are not UTF-8: the path only); whether the numbers
@@ -35,11 +38,11 @@ from pathlib import Path
 from .channels import ChannelSpec, bec, build_joint, general_channel, to_matrix, z_channel
 from .errors import SpecFormatError, create_text, open_text
 from .estimators import direct_solution
-from .experiments import Scenario, _ascii_int
+from .experiments import _ASCII_SPACE, Scenario, _ascii_float, _ascii_int
 from .probability import ConditionalTable, Simplex
 from .training import _coerce_sample
 
-_ROW_KEY = re.compile(r"^row_(\d+)$")
+_ROW_KEY = re.compile(r"^row_([0-9]+)$")
 
 
 def _parse_kv(path) -> dict:
@@ -47,14 +50,14 @@ def _parse_kv(path) -> dict:
     entries = {}
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = raw.split("#", 1)[0].strip(_ASCII_SPACE)
             if not line:
                 continue
             if "=" not in line:
                 raise SpecFormatError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
+            key = key.strip(_ASCII_SPACE)
+            value = value.strip(_ASCII_SPACE)
             if not key:
                 raise SpecFormatError(f"{path}:{lineno}: empty key")
             if key in entries:
@@ -67,7 +70,7 @@ def _parse_kv(path) -> dict:
 
 def _reals(text: str, path, lineno: int) -> list:
     try:
-        return [float(tok) for tok in text.split(",")]
+        return [_ascii_float(tok) for tok in text.split(",")]
     except ValueError:
         raise SpecFormatError(
             f"{path}:{lineno}: expected comma-separated reals, got {text!r}"
@@ -80,8 +83,9 @@ def _numbered_rows(entries: dict, prefix: str, path) -> list:
     for key, (value, lineno) in entries.items():
         if not key.startswith(prefix):
             continue
+        # _ascii_int's digit rule without its strip: "row_ 1" is no row key
         index = key[len(prefix) :]
-        if not index.isdigit():
+        if not (index.isascii() and index.isdigit()):
             raise SpecFormatError(f"{path}:{lineno}: bad row key {key!r}")
         found[int(index)] = (value, lineno)
     if not found:
@@ -210,7 +214,7 @@ def read_samples(path) -> list:
         if header.strip().replace(" ", "") != "y,z":
             raise SpecFormatError(f"{path}:1: expected the header 'y,z'")
         for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
+            line = raw.strip(_ASCII_SPACE)
             if not line:
                 continue
             parts = line.split(",")

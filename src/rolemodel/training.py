@@ -491,9 +491,11 @@ def train_run(
         pairs, n_pairs = zip(ys.tolist(), zs.tolist()), config.n_samples
         nz = source.nz
     else:
-        pairs = [_coerce_sample(s) for s in source]
+        # train_step coerces each pair; only sizing the table needs z first
+        pairs = list(source)
         n_pairs = len(pairs)
-        nz = max((z for _, z in pairs), default=0) + 1
+        if config.init is None:
+            nz = max((_coerce_sample(s)[1] for s in pairs), default=0) + 1
     if n_pairs < config.start_step:
         raise DistributionError(
             f"need at least start_step = {config.start_step} samples, "

@@ -21,6 +21,19 @@ def test_demo_exits_zero(script):
     assert done.returncode == 0, done.stderr
 
 
+def test_readme_library_tour_exits_zero():
+    # the first python block after the "Library tour" heading, run as written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX sh")
 def test_cli_workflow_exits_zero(tmp_path):
     # the script's mktemp -d lands under TMPDIR, so its output stays in

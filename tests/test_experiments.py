@@ -101,6 +101,9 @@ class TestScenarios:
             )
 
 
+_Q0 = ("step", "divergence_bits", "q_0")
+
+
 class TestTraceFile:
     def make_trace(self, tmp_path, seed=1, n=300):
         cfg = TrainerConfig(n_samples=n, seed=seed)
@@ -157,17 +160,27 @@ class TestTraceFile:
         assert len(trace.rows) == 101 - 100 + 1
 
     def test_decreasing_steps_rejected(self):
-        with pytest.raises(SpecFormatError):
-            TraceFile({}, ("step", "divergence_bits", "q_0"), ((5, 0.1, 0.5), (5, 0.1, 0.5)))
+        with pytest.raises(SpecFormatError, match="strictly increasing"):
+            TraceFile({}, _Q0, [5, 5], [[0.1, 0.5], [0.1, 0.5]])
 
     def test_ragged_row_rejected(self):
-        with pytest.raises(SpecFormatError):
-            TraceFile({}, ("step", "divergence_bits", "q_0"), ((5, 0.1),))
+        with pytest.raises(SpecFormatError, match="shape"):
+            TraceFile({}, _Q0, [5], [[0.1]])
+        with pytest.raises(SpecFormatError, match="rectangular"):
+            TraceFile({}, _Q0, [5, 6], [[0.1, 0.5], [0.1]])
 
     def test_read_rejects_bad_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("step,divergence_bits,q_0\n1,0.5,oops\n")
         with pytest.raises(SpecFormatError, match="bad.csv:2"):
+            TraceFile.read(path)
+
+    @pytest.mark.parametrize("row", ["\u00a01,0.5,0.25", "1,0.5,0.25\u2003"],
+                             ids=["nbsp-padded-step", "emsp-padded-value"])
+    def test_read_rejects_non_ascii_padding(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"step,divergence_bits,q_0\n{row}\n", encoding="utf-8")
+        with pytest.raises(SpecFormatError, match="bad.csv:2: bad row"):
             TraceFile.read(path)
 
     def test_read_rejects_bad_metadata_value(self, tmp_path):
@@ -196,7 +209,7 @@ class TestTraceFile:
 
     def test_header_written_in_its_own_order(self, tmp_path):
         header = {"note": "hand-built", "n_samples": 3, "scenario": "x", "seed": 7}
-        t = TraceFile(header, ("step", "divergence_bits", "q_0"), ((1, 0.5, 0.25),))
+        t = TraceFile(header, _Q0, [1], [[0.5, 0.25]])
         path = tmp_path / "t.csv"
         t.write(path)
         back = TraceFile.read(path)
@@ -212,15 +225,14 @@ class TestTraceFile:
     )
     def test_header_it_cannot_carry_rejected(self, key, value):
         with pytest.raises(SpecFormatError, match="header entry"):
-            TraceFile({"seed": 1, key: value}, ("step", "divergence_bits", "q_0"), ())
+            TraceFile({"seed": 1, key: value}, _Q0, [], np.empty((0, 2)))
 
     def test_typed_header_value_it_cannot_read_rejected(self):
         with pytest.raises(SpecFormatError, match="bad value 'abc' for seed"):
-            TraceFile({"seed": "abc"}, ("step", "divergence_bits", "q_0"), ())
+            TraceFile({"seed": "abc"}, _Q0, [], np.empty((0, 2)))
 
     def test_typed_header_values_stored_as_read(self, tmp_path):
-        t = TraceFile({"seed": "7", "clamp_epsilon": 1}, ("step", "divergence_bits", "q_0"),
-                      ((1, 0.5, 0.25),))
+        t = TraceFile({"seed": "7", "clamp_epsilon": 1}, _Q0, [1], [[0.5, 0.25]])
         assert t.header == {"seed": 7, "clamp_epsilon": 1.0}
         path = tmp_path / "t.csv"
         t.write(path)
@@ -247,28 +259,31 @@ class TestTraceFile:
                 yield DiskFullAfterHeader(fh)
 
         monkeypatch.setattr(experiments, "create_text", filling)
-        t = TraceFile({"seed": 1}, ("step", "divergence_bits", "q_0"),
-                      ((1, 0.5, 0.25), (2, 0.5, 0.75)))
+        t = TraceFile({"seed": 1}, _Q0, [1, 2], [[0.5, 0.25], [0.5, 0.75]])
         path = tmp_path / "t.csv"
         with pytest.raises(OSError, match="No space left"):
             t.write(path)
         assert written == ["# seed = 1\n", "step,divergence_bits,q_0\n"]
         assert not path.exists()
 
+    # a float step is refused, never truncated; text is no number, even
+    # where numpy would parse it
     @pytest.mark.parametrize(
-        "row",
-        [(2, 0.5, "not a number"), (2, None, 0.25), (2.5, 0.5, 0.25), (2.0, 0.5, 0.25),
-         ("2", 0.5, 0.25)],
-        ids=["text-value", "none-value", "fractional-step", "float-step", "text-step"],
+        "steps, last",
+        [((1, 2), (0.5, "not a number")), ((1, 2), (None, 0.25)), ((1, 2.5), (0.5, 0.25)),
+         ((1, 2.0), (0.5, 0.25)), ((1, "2"), (0.5, 0.25)), ((1.7, 2.2), (0.5, 0.25)),
+         (np.array([1.7, 2.2]), (0.5, 0.25)), ((1, 2), ("0.5", "0.25"))],
+        ids=["text-value", "none-value", "fractional-step", "float-step", "text-step",
+             "truncatable-steps", "float-step-array", "numeric-text-value"],
     )
-    def test_construction_rejects_non_numbers(self, row):
-        with pytest.raises(SpecFormatError, match="a step must be an integer"):
-            TraceFile({}, ("step", "divergence_bits", "q_0"), ((1, 0.5, 0.25), row))
+    def test_construction_rejects_non_numbers(self, steps, last):
+        with pytest.raises(SpecFormatError, match="a step must be an integer|a value must be"):
+            TraceFile({}, _Q0, steps, [(0.5, 0.25), last])
 
     @pytest.mark.parametrize("steps", [(-1, 2), (1, 2**63)], ids=["negative", "above-int64"])
     def test_construction_rejects_steps_it_cannot_write(self, steps):
         with pytest.raises(SpecFormatError, match="step"):
-            TraceFile({}, ("step", "divergence_bits", "q_0"), [(s, 0.5, 0.25) for s in steps])
+            TraceFile({}, _Q0, steps, [[0.5, 0.25]] * len(steps))
 
     def test_columns_are_read_only(self, tmp_path):
         trace, path, _ = self.make_trace(tmp_path, seed=5)
@@ -310,7 +325,7 @@ class TestTraceFile:
         with pytest.raises(SpecFormatError, match="bad.csv:1: bad value"):
             TraceFile.read(path)
         with pytest.raises(SpecFormatError, match="bad value"):
-            TraceFile({key: value}, ("step", "divergence_bits", "q_0"))
+            TraceFile({key: value}, _Q0, [], np.empty((0, 2)))
 
     def test_read_rejects_non_utf8(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -338,9 +353,10 @@ _FLOATS = st.floats(allow_nan=False) | st.sampled_from(
 def _traces(draw):
     width = draw(st.integers(3, 6))
     steps = sorted(draw(st.sets(st.integers(0, 2**63 - 1), max_size=12)))
-    rows = [(s, *draw(st.lists(_FLOATS, min_size=width - 1, max_size=width - 1)))
-            for s in steps]
-    return TraceFile({"seed": draw(st.integers(0, 10**6)), "note": "x"}, _COLUMNS[width], rows)
+    values = draw(st.lists(_FLOATS, min_size=len(steps) * (width - 1),
+                           max_size=len(steps) * (width - 1)))
+    return TraceFile({"seed": draw(st.integers(0, 10**6)), "note": "x"}, _COLUMNS[width],
+                     steps, np.reshape(values, (len(steps), width - 1)))
 
 
 def _bits(trace):
@@ -382,6 +398,7 @@ class TestTraceColumns:
             "1,0.5,2_5.0\n",
             "1,0.5,\uff10.5\n",
             "1,0.5,\u00a00.25\n",
+            "\u00a01,0.5,0.25\n",
             "\t1 , 0.5 ,-inf\n2,nan,-0.0\n",
             "",
         ],
@@ -389,7 +406,8 @@ class TestTraceColumns:
              "underscore-step", "fullwidth-step", "float-step", "exponent-step",
              "signed-step", "negative-step", "ragged-row", "decreasing-step",
              "trailing-comment", "quoted-value", "step-above-int64",
-             "underscore-value", "fullwidth-value", "nbsp-padded-value", "padded-fields", "no-rows"],
+             "underscore-value", "fullwidth-value", "nbsp-padded-value", "nbsp-padded-step",
+             "padded-fields", "no-rows"],
     )
     def test_read_agrees_with_the_line_reader(self, tmp_path, body):
         path = tmp_path / "t.csv"

@@ -152,6 +152,33 @@ class TestEstimatorFiles:
             read_estimator(path)
 
 
+ESTIMATOR = "row_0 = 0.75, 0.25\nrow_1 = 0.25, 0.75\n"
+
+
+class TestAsciiNumbers:
+    @pytest.mark.parametrize(
+        "old, new, which, lineno",
+        [
+            ("yz_row_2", "yz_row_\u00b2", "spec", 10),
+            ("prior = 0.5, 0.5", "prior = 0.5, 0_0.5", "spec", 3),
+            ("xy_delta = 0.25", "xy_delta = \uff10.25", "spec", 5),
+            ("xy_delta = 0.25", "xy_delta = 0.25\u00a0", "spec", 5),
+            ("row_1", "row_\u0661", "estimator", 2),
+        ],
+        ids=["superscript-row-key", "underscore-real", "fullwidth-real", "nbsp-padded-real",
+             "arabic-indic-row-key"],
+    )
+    def test_evaluate_exits_2_naming_the_line(self, tmp_path, capsys, old, new, which, lineno):
+        texts = {"spec": ERASURE_SPEC, "estimator": ESTIMATOR}
+        assert old in texts[which]
+        texts[which] = texts[which].replace(old, new)
+        paths = {name: tmp_path / f"{name}.txt" for name in texts}
+        for name, text in texts.items():
+            paths[name].write_text(text, encoding="utf-8")
+        assert main(["evaluate", str(paths["spec"]), str(paths["estimator"])]) == 2
+        assert capsys.readouterr().err.startswith(f"format error: {paths[which]}:{lineno}: ")
+
+
 class TestSampleFiles:
     def test_round_trip(self, tmp_path):
         _, ys, zs = sample_arrays(scenario_b().joint(), 0, 500)
@@ -214,7 +241,7 @@ class TestSampleFiles:
 # rows read_samples refuses; the writer produces none of them
 BAD_SAMPLE_ROWS = [
     "1", "1,2,3", ",", "1,", "one,0", "-1,0", "+1,0", "1.0,0", "1e3,0",
-    "1_0,2", "\uff11,0", "\u00b2,0", "1,0x1", '"1",0', "1;0",
+    "1_0,2", "\uff11,0", "\u00b2,0", "1,0x1", '"1",0', "1;0", "\u00a01,0", "1,0\u2003",
 ]
 
 _PAIRS = st.lists(

@@ -543,13 +543,29 @@ class TestTrainRun:
         b = train_run(joint_b, TrainerConfig(n_samples=2000, seed=1), oracle_b)
         assert a.param_trace != b.param_trace
 
+    def test_stream_pairs_are_coerced_once(self, oracle_b, monkeypatch):
+        # train_step coerces every pair; only a table sized from the stream
+        # reads each pair's z before training
+        calls = []
+        coerce = training._coerce_sample
+        monkeypatch.setattr(training, "_coerce_sample", lambda s: calls.append(s) or coerce(s))
+        pairs = [(0, 0), (1, 1), (2, 0)] * 100
+        with_init = TrainerConfig(n_samples=300, init=ConditionalTable.uniform(2, 2))
+        train_run(pairs, with_init, oracle_b)
+        assert len(calls) == len(pairs)
+        calls.clear()
+        train_run(pairs, TrainerConfig(n_samples=300), oracle_b)
+        assert len(calls) == 2 * len(pairs)
+
     def test_triples_rejected(self, oracle_b):
         # blind by type: a sample carrying x, or anything else not a pair, is refused,
         # and so is a float or string symbol, never truncated or parsed
         cfg = TrainerConfig(n_samples=300)
+        with_init = TrainerConfig(n_samples=300, init=ConditionalTable.uniform(2, 2))
         for bad in [(1, 2, 0), (1,), 7, (0.9, 1.7), ("1", "0")]:
-            with pytest.raises(DimensionError, match=r"a sample is a \(y, z\) pair"):
-                train_run([(0, 0)] * 299 + [bad], cfg, oracle_b)
+            for config in (cfg, with_init):
+                with pytest.raises(DimensionError, match=r"a sample is a \(y, z\) pair"):
+                    train_run([(0, 0)] * 299 + [bad], config, oracle_b)
             with pytest.raises(DimensionError, match="pair"):
                 train_step(binary_state([0.5, 0.5], 5, oracle_b), bad)
             # the whole preseed is checked, not only the pairs that stay in the window
