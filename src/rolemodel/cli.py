@@ -31,6 +31,8 @@ from .errors import (
     RoleModelError,
     SpecFormatError,
     UndefinedConditionalError,
+    _ascii_float,
+    create_text,
 )
 from .estimators import (
     check_theorem1,
@@ -69,13 +71,13 @@ def _json_safe(value):
 
 
 def _emit(args, text: str, payload: dict, out_path) -> None:
-    """Print the report and write it; the file content is ready before
-    the file is opened, so a failed open leaves nothing behind. JSON is
-    strict (RFC 8259): inf and NaN are written as null."""
+    """Print the report and write it; a write that fails leaves no
+    partial file. JSON is strict (RFC 8259): inf and NaN are written as
+    null."""
     body = json.dumps(_json_safe(payload), indent=2, allow_nan=False) if args.json else text
     print(body)
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with create_text(out_path) as fh:
             fh.write(body + "\n")
 
 
@@ -184,7 +186,7 @@ def _scenario_b_with(delta, channel_rows) -> Scenario:
 
 def _parse_channel_rows(text: str):
     try:
-        return [[float(v) for v in row.split(",")] for row in text.split(";")]
+        return [[_ascii_float(v) for v in row.split(",")] for row in text.split(";")]
     except ValueError:
         raise SpecFormatError(
             "bad --channel value; expected rows like '0.9,0.1;0.7,0.3;0.2,0.8'"

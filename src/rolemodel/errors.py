@@ -4,10 +4,10 @@ Every error raised deliberately by this package derives from
 RoleModelError, so callers can catch one base class. The subclasses
 split along the boundaries callers actually branch on: bad shapes,
 bad probability values, undefined conditionals, violated structural
-preconditions, exhausted iteration budgets, and malformed files.
-``open_text`` opens an input file so that bytes which are not UTF-8
-raise the malformed-file error too; ``create_text`` opens an output
-file that is removed again if writing it fails.
+preconditions, exhausted iteration budgets, and malformed files. Text
+files follow one rule: ``open_text`` and ``_lines`` read UTF-8 lines,
+non-blank, stripped of ASCII whitespace only; ``_key_value`` splits
+``key = value`` lines; ``create_text`` writes what a failure removes.
 """
 
 import contextlib
@@ -55,7 +55,7 @@ class EmptyWindowError(RoleModelError, RuntimeError):
 
 
 class SpecFormatError(RoleModelError, ValueError):
-    """A scenario, estimator, or sample file failed to parse.
+    """A scenario, estimator, sample or trace file failed to parse.
 
     The message carries the offending path and line number.
     """
@@ -83,3 +83,49 @@ def create_text(path):
             fh.close()
             os.remove(path)
             raise
+
+
+# what str.strip() removes from ASCII text; a line or field stripped of
+# these alone keeps any other padding for the ASCII checks to refuse
+_ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+
+
+def _ascii_int(text: str) -> int:
+    """The integer a field spells in ASCII digits, surrounding ASCII
+    whitespace stripped. int() alone also takes a sign, '_' between digits
+    and other scripts' digits; str.isdigit alone takes superscripts."""
+    text = text.strip(_ASCII_SPACE)
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a nonnegative integer in ASCII digits")
+    return int(text)
+
+
+def _ascii_float(text: str) -> float:
+    """float(text) for ASCII text without '_', which float() alone takes."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} is not a number in ASCII without '_'")
+    return float(text)
+
+
+def _lines(lines, start: int = 1):
+    """(line number from ``start``, line stripped of ASCII whitespace) for
+    each non-blank line of an open text file or a list of lines."""
+    for lineno, raw in enumerate(lines, start):
+        line = raw.strip(_ASCII_SPACE)
+        if line:
+            yield lineno, line
+
+
+def _key_value(line: str, seen, path, lineno: int) -> tuple:
+    """(key, value) of a ``key = value`` line, both stripped of ASCII
+    whitespace. A line without '=', an empty key, or a key already in
+    ``seen`` raises SpecFormatError naming path:lineno."""
+    key, eq, value = line.partition("=")
+    key = key.strip(_ASCII_SPACE)
+    if not eq:
+        raise SpecFormatError(f"{path}:{lineno}: expected key = value")
+    if not key:
+        raise SpecFormatError(f"{path}:{lineno}: empty key")
+    if key in seen:
+        raise SpecFormatError(f"{path}:{lineno}: duplicate key {key!r}")
+    return key, value.strip(_ASCII_SPACE)

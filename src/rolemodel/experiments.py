@@ -21,7 +21,8 @@ float64 value array, from the trainer's recorded columns to the file
 and back; its rows as tuples are built only when asked for. The reader
 types the header lines in Python and parses the body in one numpy call.
 Where that parse might not read the body as the line reader does, the
-line reader reads the file again, so every error names its path:lineno.
+line reader reads the same text, so every error names its path:lineno.
+Lines follow the one text rule in ``errors``, metadata lines as spec lines.
 Integers in a trace (steps and the integer settings) are ASCII digits,
 and no number may contain '_' or a character outside ASCII, although
 int() and float() alone take both.
@@ -39,10 +40,15 @@ import numpy as np
 
 from .channels import ChannelSpec, bec, build_joint, general_channel, to_matrix, z_channel
 from .errors import (
+    _ASCII_SPACE,
     DimensionError,
     DistributionError,
     SpecFormatError,
     UnsupportedAlphabetError,
+    _ascii_float,
+    _ascii_int,
+    _key_value,
+    _lines,
     create_text,
     open_text,
 )
@@ -141,31 +147,11 @@ _STEP_MAX = int(np.iinfo(np.int64).max)
 # a literal first character makes the search fast
 _SIGNED_STEP = re.compile(r"\n\s*[+-]")
 _WRITE_CHUNK = 8192  # rows formatted per write
-# what str.strip() removes from ASCII text; a line or field stripped of
-# these alone keeps any other padding for the ASCII checks to refuse
-_ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
-
-
-def _ascii_int(text: str) -> int:
-    """The integer a field spells in ASCII digits, surrounding ASCII
-    whitespace stripped. int() alone also takes a sign, '_' between digits
-    and other scripts' digits; str.isdigit alone takes superscripts."""
-    text = text.strip(_ASCII_SPACE)
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{text!r} is not a nonnegative integer in ASCII digits")
-    return int(text)
-
-
-def _ascii_float(text: str) -> float:
-    """float(text) for ASCII text without '_', which float() alone takes."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"{text!r} is not a number in ASCII without '_'")
-    return float(text)
 
 
 def _one_line(text: str) -> bool:
-    # survives "# key = value" and the reader's strip() unchanged
-    return text == text.strip() and "\n" not in text and "\r" not in text
+    # survives "# key = value" and the reader's ASCII strip unchanged
+    return text == text.strip(_ASCII_SPACE) and "\n" not in text and "\r" not in text
 
 
 def _header_value(key: str, text: str, where: str = ""):
@@ -199,6 +185,9 @@ def _check_columns(cols: tuple, where: str = "") -> None:
             f"{where}columns must start with step, divergence_bits and name "
             "at least one parameter"
         )
+    for name in cols[2:]:
+        if name != str(name).strip() or "," in name or "\n" in name or "\r" in name:
+            raise SpecFormatError(f"{where}column {name!r} cannot be written as a trace field")
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +204,9 @@ class TraceFile:
     the same body as (step, divergence, parameters...) tuples of Python
     numbers, built on first access. Every header entry reads back as
     stored: keys are nonempty, without '=', and neither key nor value
-    (as str) has a line break or leading or trailing whitespace; each
-    value is stored as the reader returns its str.
+    (as str) has a line break or leading or trailing ASCII whitespace;
+    each value is stored as the reader returns its str. Nor has a column
+    name, which has no ',' and no whitespace at either end.
     """
 
     header: dict
@@ -274,90 +264,70 @@ class TraceFile:
     @classmethod
     def read(cls, path) -> "TraceFile":
         """Read a trace file: the header lines one by one, then the body in
-        one numpy parse. A body that parse might not read as the line
-        reader does (a parse error or warning, text outside ASCII, a
-        signed step, steps not increasing) is read again by the line
-        reader, so every error names its path and line."""
-        header = {}
+        one numpy parse. The line reader reads the same body text where that
+        parse might not read it alike (a parse error or warning, text outside
+        ASCII, a signed step, steps not increasing), naming path and line."""
         with open_text(path) as fh:
-            columns, _ = _read_head(fh, path, header)
-            try:
-                body = fh.read()
-            except UnicodeDecodeError:
-                body = None
-        if body is None or not body.isascii() or _SIGNED_STEP.search("\n" + body):
-            return _read_lines(path)
+            header, columns, head = _read_head(_lines(fh), path)
+            body = fh.read()
         # split on "\n" only, as iterating the file does
         lines = body.split("\n")
-        del body
-        row = [("step", np.int64), ("values", np.float64, (len(columns) - 1,))]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1)
-        except (ValueError, Warning):
-            return _read_lines(path)
-        if (np.diff(table["step"]) <= 0).any():
-            return _read_lines(path)
-        return cls(header, columns, table["step"], table["values"])
+        if body.isascii() and not _SIGNED_STEP.search("\n" + body):
+            del body
+            row = [("step", np.int64), ("values", np.float64, (len(columns) - 1,))]
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    table = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1)
+            except (ValueError, Warning):
+                table = None
+            if table is not None and (np.diff(table["step"]) > 0).all():
+                return cls(header, columns, table["step"], table["values"])
+        return _read_lines(_lines(lines, head + 1), path, header, columns)
 
 
-def _metadata_line(header: dict, line: str, where: str) -> None:
-    body = line[1:].strip()
-    if "=" not in body:
-        raise SpecFormatError(f"{where}metadata line without '='")
-    key, _, value = body.partition("=")
-    key = key.strip()
-    header[key] = _header_value(key, value.strip(), where)
+def _metadata_line(header: dict, line: str, path, lineno: int) -> None:
+    key, value = _key_value(line[1:], header, path, lineno)
+    header[key] = _header_value(key, value, f"{path}:{lineno}: ")
 
 
-def _read_head(fh, path, header: dict) -> tuple:
-    """Read metadata lines into ``header`` up to the column header;
-    return (columns, line number of the column header)."""
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}: "
-        if line.startswith("#"):
-            _metadata_line(header, line, where)
-            continue
-        columns = tuple(line.split(","))
-        _check_columns(columns, where)
-        return columns, lineno
+def _read_head(numbered, path) -> tuple:
+    """Read the metadata lines of (line number, line) pairs up to the
+    column header; return (header, columns, line number of the columns)."""
+    header = {}
+    for lineno, line in numbered:
+        if not line.startswith("#"):
+            columns = tuple(line.split(","))
+            _check_columns(columns, f"{path}:{lineno}: ")
+            return header, columns, lineno
+        _metadata_line(header, line, path, lineno)
     raise SpecFormatError(f"{path}: no column header found")
 
 
-def _read_lines(path) -> TraceFile:
-    """The line reader: a trace file one line at a time, every error
-    naming its line. Steps are ASCII digits, values ASCII numbers
-    without '_'; metadata lines may follow the column header."""
-    header, steps, values = {}, [], []
-    with open_text(path) as fh:
-        columns, head = _read_head(fh, path, header)
-        for lineno, raw in enumerate(fh, start=head + 1):
-            line = raw.strip(_ASCII_SPACE)
-            if not line:
-                continue
-            where = f"{path}:{lineno}: "
-            if line.startswith("#"):
-                _metadata_line(header, line, where)
-                continue
-            parts = line.split(",")
-            if len(parts) != len(columns):
-                raise SpecFormatError(
-                    f"{where}row of width {len(parts)} under {len(columns)} columns"
-                )
-            try:
-                step = _ascii_int(parts[0])
-                values.append([_ascii_float(p) for p in parts[1:]])
-            except ValueError as exc:
-                raise SpecFormatError(f"{where}bad row: {exc}") from None
-            if step > _STEP_MAX:
-                raise SpecFormatError(f"{where}step {step} does not fit in 64 bits")
-            if steps and step <= steps[-1]:
-                raise SpecFormatError(f"{where}{_STEPS_INCREASE}")
-            steps.append(step)
+def _read_lines(numbered, path, header: dict, columns: tuple) -> TraceFile:
+    """The line reader: the body's (line number, line) pairs after
+    ``_read_head`` one at a time, every error naming its line. Steps are
+    ASCII digits, values ASCII numbers without '_'; metadata may follow."""
+    steps, values = [], []
+    for lineno, line in numbered:
+        if line.startswith("#"):
+            _metadata_line(header, line, path, lineno)
+            continue
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise SpecFormatError(
+                f"{path}:{lineno}: row of width {len(parts)} under {len(columns)} columns"
+            )
+        try:
+            step = _ascii_int(parts[0])
+            values.append([_ascii_float(p) for p in parts[1:]])
+        except ValueError as exc:
+            raise SpecFormatError(f"{path}:{lineno}: bad row: {exc}") from None
+        if step > _STEP_MAX:
+            raise SpecFormatError(f"{path}:{lineno}: step {step} does not fit in 64 bits")
+        if steps and step <= steps[-1]:
+            raise SpecFormatError(f"{path}:{lineno}: {_STEPS_INCREASE}")
+        steps.append(step)
     body = np.array(values, dtype=np.float64).reshape(len(steps), len(columns) - 1)
     return TraceFile(header, columns, steps, body)
 

@@ -18,12 +18,12 @@ Kinds are z_channel (parameter ``crossover``), bec (parameter
 (numbered ``row_<i>`` keys, contiguous from 0). An estimator file uses
 the same syntax with only ``row_<i>`` keys, one distribution over the
 source alphabet per observed symbol; the literal ``undefined`` marks a
-row with no defined distribution. Sample logs are CSV with the exact
-header ``y,z`` and one pair of nonnegative integer symbol indices per
+row with no defined distribution. Sample logs are CSV with the header
+``y,z`` on line 1 and one pair of nonnegative integer symbol indices per
 row, written in ASCII digits (no sign, no '_', no other script's digits).
 Spec and estimator numbers follow the same rule: reals in ASCII without
-'_', row indices in ASCII digits. Fields are stripped of ASCII whitespace
-only.
+'_', row indices in ASCII digits. Lines follow the one text rule in
+``errors``, ``key = value`` lines as trace metadata.
 
 Format problems raise SpecFormatError carrying the path and the line
 number (bytes that are not UTF-8: the path only); whether the numbers
@@ -32,36 +32,33 @@ make a distribution is checked by the constructors they feed, not here.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
 from .channels import ChannelSpec, bec, build_joint, general_channel, to_matrix, z_channel
-from .errors import SpecFormatError, create_text, open_text
+from .errors import (
+    SpecFormatError,
+    _ascii_float,
+    _ascii_int,
+    _key_value,
+    _lines,
+    create_text,
+    open_text,
+)
 from .estimators import direct_solution
-from .experiments import _ASCII_SPACE, Scenario, _ascii_float, _ascii_int
+from .experiments import Scenario
 from .probability import ConditionalTable, Simplex
 from .training import _coerce_sample
-
-_ROW_KEY = re.compile(r"^row_([0-9]+)$")
 
 
 def _parse_kv(path) -> dict:
     """key -> (value string, line number), rejecting malformed lines."""
     entries = {}
     with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip(_ASCII_SPACE)
+        for lineno, line in _lines(fh):
+            line = line.partition("#")[0]
             if not line:
                 continue
-            if "=" not in line:
-                raise SpecFormatError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip(_ASCII_SPACE)
-            value = value.strip(_ASCII_SPACE)
-            if not key:
-                raise SpecFormatError(f"{path}:{lineno}: empty key")
-            if key in entries:
-                raise SpecFormatError(f"{path}:{lineno}: duplicate key {key!r}")
+            key, value = _key_value(line, entries, path, lineno)
             if not value:
                 raise SpecFormatError(f"{path}:{lineno}: key {key!r} has no value")
             entries[key] = (value, lineno)
@@ -78,18 +75,15 @@ def _reals(text: str, path, lineno: int) -> list:
 
 
 def _numbered_rows(entries: dict, prefix: str, path) -> list:
-    """(value string, line number) of each <prefix><i> key, in index order."""
+    """(value string, line number) of each <prefix><i> key, popped, in index order."""
     found = {}
-    for key, (value, lineno) in entries.items():
-        if not key.startswith(prefix):
-            continue
+    for key in [k for k in entries if k.startswith(prefix)]:
+        value, lineno = entries.pop(key)
         # _ascii_int's digit rule without its strip: "row_ 1" is no row key
         index = key[len(prefix) :]
         if not (index.isascii() and index.isdigit()):
             raise SpecFormatError(f"{path}:{lineno}: bad row key {key!r}")
         found[int(index)] = (value, lineno)
-    if not found:
-        return []
     if sorted(found) != list(range(len(found))):
         raise SpecFormatError(
             f"{path}: {prefix}<i> keys must be contiguous from {prefix}0"
@@ -97,26 +91,22 @@ def _numbered_rows(entries: dict, prefix: str, path) -> list:
     return [found[i] for i in range(len(found))]
 
 
-def _channel_from(entries: dict, prefix: str, path, used: set) -> ChannelSpec:
+_ONE_PARAMETER = {"z_channel": ("crossover", z_channel), "bec": ("delta", bec)}
+
+
+def _channel_from(entries: dict, prefix: str, path) -> ChannelSpec:
+    """The channel its <prefix>_ keys declare, taken out of ``entries``."""
     kind_key = f"{prefix}_kind"
     if kind_key not in entries:
         raise SpecFormatError(f"{path}: missing key {kind_key!r}")
-    used.add(kind_key)
-    kind, kind_line = entries[kind_key]
-    if kind == "z_channel":
-        param_key = f"{prefix}_crossover"
-        if param_key not in entries:
-            raise SpecFormatError(f"{path}: z_channel needs {param_key!r}")
-        value, lineno = entries[param_key]
-        used.add(param_key)
-        return z_channel(_reals(value, path, lineno)[0])
-    if kind == "bec":
-        param_key = f"{prefix}_delta"
-        if param_key not in entries:
-            raise SpecFormatError(f"{path}: bec needs {param_key!r}")
-        value, lineno = entries[param_key]
-        used.add(param_key)
-        return bec(_reals(value, path, lineno)[0])
+    kind, kind_line = entries.pop(kind_key)
+    if kind in _ONE_PARAMETER:
+        suffix, make = _ONE_PARAMETER[kind]
+        key = f"{prefix}_{suffix}"
+        if key not in entries:
+            raise SpecFormatError(f"{path}: {kind} needs {key!r}")
+        value, lineno = entries.pop(key)
+        return make(_reals(value, path, lineno)[0])
     if kind == "general":
         rows = _numbered_rows(entries, f"{prefix}_row_", path)
         if len(rows) < 2:
@@ -124,7 +114,6 @@ def _channel_from(entries: dict, prefix: str, path, used: set) -> ChannelSpec:
                 f"{path}: a general {prefix} channel needs {prefix}_row_0, "
                 f"{prefix}_row_1, ..."
             )
-        used.update(k for k in entries if k.startswith(f"{prefix}_row_"))
         return general_channel([_reals(value, path, lineno) for value, lineno in rows])
     raise SpecFormatError(
         f"{path}:{kind_line}: unknown channel kind {kind!r} "
@@ -136,22 +125,16 @@ def read_scenario(path) -> Scenario:
     """Load a scenario spec file. The expected posterior is derived from
     the declared channels, so the result is consistent by construction."""
     entries = _parse_kv(path)
-    used = set()
     if "prior" not in entries:
         raise SpecFormatError(f"{path}: missing key 'prior'")
-    value, lineno = entries["prior"]
+    value, lineno = entries.pop("prior")
     prior = Simplex(_reals(value, path, lineno))
-    used.add("prior")
-    xy = _channel_from(entries, "xy", path, used)
-    yz = _channel_from(entries, "yz", path, used)
-    if "name" in entries:
-        name = entries["name"][0]
-        used.add("name")
-    else:
-        name = Path(path).stem
-    for key, (_, lineno) in entries.items():
-        if key not in used:
-            raise SpecFormatError(f"{path}:{lineno}: unknown key {key!r}")
+    xy = _channel_from(entries, "xy", path)
+    yz = _channel_from(entries, "yz", path)
+    name = entries.pop("name")[0] if "name" in entries else Path(path).stem
+    if entries:
+        key, (_, lineno) = next(iter(entries.items()))
+        raise SpecFormatError(f"{path}:{lineno}: unknown key {key!r}")
     joint = build_joint(prior, to_matrix(xy), to_matrix(yz))
     return Scenario(
         name=name,
@@ -163,11 +146,10 @@ def read_scenario(path) -> Scenario:
 
 
 def _channel_lines(prefix: str, spec: ChannelSpec) -> list:
-    if spec.kind == "z_channel":
-        return [f"{prefix}_kind = z_channel", f"{prefix}_crossover = {spec.crossover!r}"]
-    if spec.kind == "bec":
-        return [f"{prefix}_kind = bec", f"{prefix}_delta = {spec.delta!r}"]
-    lines = [f"{prefix}_kind = general"]
+    lines = [f"{prefix}_kind = {spec.kind}"]
+    if spec.kind in _ONE_PARAMETER:
+        suffix = _ONE_PARAMETER[spec.kind][0]
+        return lines + [f"{prefix}_{suffix} = {getattr(spec, suffix)!r}"]
     for i, row in enumerate(spec.matrix.p):
         lines.append(f"{prefix}_row_{i} = " + ", ".join(repr(float(v)) for v in row))
     return lines
@@ -178,14 +160,14 @@ def write_scenario(path, scenario: Scenario) -> None:
     lines.append("prior = " + ", ".join(repr(float(v)) for v in scenario.prior.probs))
     lines += _channel_lines("xy", scenario.xy_channel)
     lines += _channel_lines("yz", scenario.yz_channel)
-    with open(path, "w", encoding="utf-8") as fh:
+    with create_text(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_estimator(path) -> ConditionalTable:
     entries = _parse_kv(path)
     for key, (_, lineno) in entries.items():
-        if not _ROW_KEY.match(key):
+        if not (key.startswith("row_") and key[4:].isascii() and key[4:].isdigit()):
             raise SpecFormatError(f"{path}:{lineno}: unknown key {key!r}")
     rows = _numbered_rows(entries, "row_", path)
     if not rows:
@@ -202,7 +184,7 @@ def write_estimator(path, est: ConditionalTable) -> None:
             lines.append(f"row_{i} = undefined")
         else:
             lines.append(f"row_{i} = " + ", ".join(repr(float(v)) for v in row.probs))
-    with open(path, "w", encoding="utf-8") as fh:
+    with create_text(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -210,13 +192,11 @@ def read_samples(path) -> list:
     """Load a y,z sample log. Returns a nonempty list of (y, z) pairs."""
     pairs = []
     with open_text(path) as fh:
-        header = fh.readline()
-        if header.strip().replace(" ", "") != "y,z":
+        numbered = _lines(fh)
+        lineno, header = next(numbered, (None, ""))
+        if lineno != 1 or header.replace(" ", "") != "y,z":
             raise SpecFormatError(f"{path}:1: expected the header 'y,z'")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip(_ASCII_SPACE)
-            if not line:
-                continue
+        for lineno, line in numbered:
             parts = line.split(",")
             if len(parts) != 2:
                 raise SpecFormatError(f"{path}:{lineno}: expected two columns")

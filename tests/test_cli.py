@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rolemodel import TraceFile, bec, build_joint, general_channel, scenario_b, to_matrix
+from rolemodel import TraceFile, bec, build_joint, cli, general_channel, scenario_b, to_matrix
 from rolemodel.cli import _trainer_config, build_parser, main
 from rolemodel.specfiles import write_estimator, write_samples, write_scenario
 from rolemodel.estimators import direct_solution
@@ -41,6 +41,14 @@ class TestExampleA:
         assert abs(payload["identity"]["gap"]) <= 1e-9
         on_disk = json.loads((tmp_path / "example_a_report.json").read_text())
         assert on_disk == payload
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_failed_report_write_leaves_no_file(self, tmp_path, capsys, disk_full, json_flag):
+        disk_full(cli)
+        code, captured = run(capsys, "example-a", "--out", tmp_path, *json_flag)
+        assert code == 1
+        assert "i/o failure" in captured.err and "No space left" in captured.err
+        assert not list(tmp_path.iterdir())
 
     def test_unwritable_out_dir_fails_cleanly(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -133,11 +141,16 @@ class TestExampleB:
         assert not list(tmp_path.iterdir())
 
     def test_bad_channel_override(self, tmp_path, capsys):
-        code, captured = run(
-            capsys, "example-b", "--out", tmp_path, "--channel", "0.8,zz"
-        )
-        assert code == 2
-        assert "format error" in captured.err
+        # the numbers of a spec's yz_row_<i> line: float() alone reads the
+        # first row of the last two as 0.9, 0.1
+        for channel in ["0.8,zz", "0_0.9,0.1;0.7,0.3;0.2,0.8",
+                        "\u0660.\u0669,0.1;0.7,0.3;0.2,0.8"]:
+            code, captured = run(
+                capsys, "example-b", "--out", tmp_path, "--samples", 2000, "--channel", channel
+            )
+            assert code == 2, channel
+            assert "format error: bad --channel value" in captured.err
+            assert not list(tmp_path.iterdir())
 
     def test_empty_channel_is_format_error_not_the_default(self, tmp_path, capsys):
         code, captured = run(capsys, "example-b", "--out", tmp_path, "--channel", "")

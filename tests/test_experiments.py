@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rolemodel import experiments
+from rolemodel import errors, experiments
 from rolemodel.cli import main
 from rolemodel import (
     ConditionalTable,
@@ -102,6 +102,15 @@ class TestScenarios:
 
 
 _Q0 = ("step", "divergence_bits", "q_0")
+
+
+def _line_reader(path):
+    """The whole file through the line reader, no numpy parse: the
+    reference that TraceFile.read is held to."""
+    with errors.open_text(path) as fh:
+        numbered = errors._lines(fh)
+        header, columns, _ = experiments._read_head(numbered, path)
+        return experiments._read_lines(numbered, path, header, columns)
 
 
 class TestTraceFile:
@@ -207,6 +216,45 @@ class TestTraceFile:
         with pytest.raises(SpecFormatError, match="bad.csv:2: columns must start"):
             TraceFile.read(path)
 
+    # what str.strip() took and the ASCII rule refuses, and the spec
+    # files' key rule: neither an empty nor a repeated key
+    @pytest.mark.parametrize(
+        "head, lineno, message",
+        [("# seed = 1\u00a0\nstep,divergence_bits,q_0\n", 1, "bad value"),
+         ("# window = \u2003100\nstep,divergence_bits,q_0\n", 1, "bad value"),
+         ("# seed = 1\n\u2003step,divergence_bits,q_0\u00a0\n", 2, "columns must start"),
+         ("# seed = 1\nstep,divergence_bits,q_0\u00a0\n", 2, "column 'q_0"),
+         ("# = 5\nstep,divergence_bits,q_0\n", 1, "empty key"),
+         ("# seed = 1\n# seed = 2\nstep,divergence_bits,q_0\n", 2, "duplicate key 'seed'"),
+         ("# seed = 1\nstep,divergence_bits,q_0\n1,0.5,0.25\n# seed = 2\n", 4,
+          "duplicate key 'seed'"),
+         ("# seed 1\nstep,divergence_bits,q_0\n", 1, "expected key = value")],
+        ids=["nbsp-padded-value", "emsp-padded-value", "padded-column-line",
+             "nbsp-padded-column", "empty-key", "repeated-key", "late-repeated-key",
+             "missing-eq"],
+    )
+    def test_read_rejects_bad_metadata_or_columns_with_line_number(
+        self, tmp_path, head, lineno, message
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_text(head + "1,0.5,0.25\n", encoding="utf-8")
+        with pytest.raises(SpecFormatError, match=f"bad.csv:{lineno}: {message}"):
+            TraceFile.read(path)
+
+    def test_read_keeps_non_ascii_text_values(self, tmp_path):
+        t = TraceFile({"scenario": "caf\u00e9\u00a0"}, _Q0, [1], [[0.5, 0.25]])
+        path = tmp_path / "t.csv"
+        t.write(path)
+        assert TraceFile.read(path).header == t.header
+
+    @pytest.mark.parametrize(
+        "name", ["a,b", "q ", " q", "q\u00a0", "q\nr", "q\rr", 3],
+        ids=["comma", "space-padded", "space-led", "nbsp-padded", "newline", "cr", "not-text"],
+    )
+    def test_column_it_cannot_write_rejected(self, name):
+        with pytest.raises(SpecFormatError, match="cannot be written as a trace field"):
+            TraceFile({}, ("step", "divergence_bits", name), [1], [[0.5, 0.25]])
+
     def test_header_written_in_its_own_order(self, tmp_path):
         header = {"note": "hand-built", "n_samples": 3, "scenario": "x", "seed": 7}
         t = TraceFile(header, _Q0, [1], [[0.5, 0.25]])
@@ -301,9 +349,9 @@ class TestTraceFile:
                      str(tmp_path), "--tolerance", "1"]) == 0
         capsys.readouterr()
         path = tmp_path / "example_b_seed3_trace.csv"
-        want = experiments._read_lines(path)
+        want = _line_reader(path)
 
-        def refuse(path):
+        def refuse(*args):
             raise AssertionError("the trace fell back to the line reader")
 
         monkeypatch.setattr(experiments, "_read_lines", refuse)
@@ -372,7 +420,7 @@ class TestTraceColumns:
         back = TraceFile.read(path)
         assert back.columns == trace.columns and back.header == trace.header
         assert _bits(back) == _bits(trace)
-        assert _bits(experiments._read_lines(path)) == _bits(trace)
+        assert _bits(_line_reader(path)) == _bits(trace)
         again = path.with_name("again.csv")
         back.write(again)
         assert again.read_bytes() == path.read_bytes()
@@ -413,7 +461,7 @@ class TestTraceColumns:
         path = tmp_path / "t.csv"
         path.write_text("# seed = 1\nstep,divergence_bits,q_0\n" + body, encoding="utf-8")
         try:
-            want = experiments._read_lines(path)
+            want = _line_reader(path)
         except SpecFormatError as exc:
             with pytest.raises(SpecFormatError) as got:
                 TraceFile.read(path)

@@ -6,11 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from rolemodel import (
     ConditionalTable,
+    Scenario,
     Simplex,
+    bec,
+    build_joint,
     direct_solution,
+    general_channel,
     sample_arrays,
     scenario_b,
+    to_matrix,
+    z_channel,
 )
+from rolemodel import specfiles
 from rolemodel.cli import main
 from rolemodel.errors import DimensionError, DistributionError, SpecFormatError
 from rolemodel.specfiles import (
@@ -152,6 +159,160 @@ class TestEstimatorFiles:
             read_estimator(path)
 
 
+class TestFailedWrites:
+    @pytest.mark.parametrize(
+        "write_file, data",
+        [(write_scenario, scenario_b()),
+         (write_estimator, ConditionalTable((Simplex([0.25, 0.75]), None)))],
+        ids=["scenario", "estimator"],
+    )
+    def test_failed_write_leaves_no_file(self, tmp_path, disk_full, write_file, data):
+        disk_full(specfiles)
+        path = tmp_path / "out.txt"
+        with pytest.raises(OSError, match="No space left"):
+            write_file(path, data)
+        assert not path.exists()
+
+
+# probabilities k / 2**20 summing to exactly 1, so that the constructors'
+# renormalisation leaves them bit for bit as drawn
+_GRID = 2**20
+
+
+@st.composite
+def _dyadic(draw, n):
+    cuts = sorted(draw(st.lists(st.integers(0, _GRID), min_size=n - 1, max_size=n - 1)))
+    return [(b - a) / _GRID for a, b in zip([0, *cuts], [*cuts, _GRID])]
+
+
+@st.composite
+def _channels(draw, n_in):
+    """A channel spec from an alphabet of n_in symbols."""
+    kinds = ["general"] + (["z_channel", "bec"] if n_in == 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "z_channel":
+        return z_channel(draw(_dyadic(2))[0])
+    if kind == "bec":
+        return bec(draw(_dyadic(2))[0])
+    n_out = draw(st.integers(2, 4))
+    return general_channel([draw(_dyadic(n_out)) for _ in range(n_in)])
+
+
+# names without '#' or line breaks whose ends are not whitespace
+_NAMES = st.text(
+    st.characters(codec="utf-8", exclude_categories=("Cc", "Zs", "Zl", "Zp"),
+                  exclude_characters="#"),
+    min_size=1, max_size=12,
+).filter(lambda name: name == name.strip())
+
+
+@st.composite
+def _scenarios(draw):
+    prior = Simplex(draw(_dyadic(draw(st.integers(2, 3)))))
+    xy = draw(_channels(len(prior)))
+    yz = draw(_channels(to_matrix(xy).n_target))
+    joint = build_joint(prior, to_matrix(xy), to_matrix(yz))
+    return Scenario(name=draw(_NAMES), prior=prior, xy_channel=xy, yz_channel=yz,
+                    expected_posterior=direct_solution(joint))
+
+
+@st.composite
+def _estimators(draw):
+    n_target = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.none() | _dyadic(n_target), min_size=1, max_size=5))
+    rows[draw(st.integers(0, len(rows) - 1))] = draw(_dyadic(n_target))
+    return ConditionalTable(rows)
+
+
+def _write_drawn(path, which, data):
+    """Write a drawn scenario or estimator; return the reader of the file."""
+    if which == "scenario":
+        write_scenario(path, data.draw(_scenarios(), label="scenario"))
+        return read_scenario
+    write_estimator(path, data.draw(_estimators(), label="estimator"))
+    return read_estimator
+
+
+def _rows(est):
+    return [None if row is None else row.probs.tolist() for row in est.rows]
+
+
+def _channel_bits(spec):
+    return spec.kind, spec.crossover, spec.delta, to_matrix(spec).p.tolist()
+
+
+# a line of either file corrupted as its writer never would: each makes
+# the reader name the corrupted line
+_CORRUPT = {
+    "nbsp-padded": (lambda line: line + "\u00a0", "expected comma-separated reals"),
+    "emsp-led": (lambda line: line.replace("= ", "= \u2003", 1), "expected comma-separated reals"),
+    "underscore": (lambda line: line.replace("= ", "= 0_", 1), "expected comma-separated reals"),
+    "missing-eq": (lambda line: line.replace("=", " ", 1), "expected key = value"),
+}
+
+
+class TestSpecFileProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sc=_scenarios())
+    def test_scenario_round_trip(self, tmp_path_factory, sc):
+        path = tmp_path_factory.mktemp("spec") / "s.spec"
+        write_scenario(path, sc)
+        back = read_scenario(path)
+        assert back.name == sc.name
+        assert back.prior.probs.tolist() == sc.prior.probs.tolist()
+        for got, want in ((back.xy_channel, sc.xy_channel), (back.yz_channel, sc.yz_channel)):
+            assert _channel_bits(got) == _channel_bits(want)
+        assert back.expected_posterior.defined.tolist() == sc.expected_posterior.defined.tolist()
+        again = path.with_name("again.spec")
+        write_scenario(again, back)
+        assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(est=_estimators())
+    def test_estimator_round_trip(self, tmp_path_factory, est):
+        path = tmp_path_factory.mktemp("est") / "e.txt"
+        write_estimator(path, est)
+        back = read_estimator(path)
+        assert _rows(back) == _rows(est)
+        again = path.with_name("again.txt")
+        write_estimator(again, back)
+        assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        which=st.sampled_from(["scenario", "estimator"]),
+        corrupt=st.sampled_from(sorted(_CORRUPT)),
+        data=st.data(),
+    )
+    def test_malformed_line_names_its_line(self, tmp_path_factory, which, corrupt, data):
+        path = tmp_path_factory.mktemp("bad") / "f.txt"
+        read = _write_drawn(path, which, data)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # a line of numbers: not the name, not a kind
+        numeric = [i for i, line in enumerate(lines) if not line.startswith("name")
+                   and "_kind" not in line and "undefined" not in line]
+        at = data.draw(st.sampled_from(numeric), label="corrupted line")
+        bad, message = _CORRUPT[corrupt]
+        lines[at] = bad(lines[at])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SpecFormatError, match=f"^{re.escape(str(path))}:{at + 1}: {message}"):
+            read(path)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(which=st.sampled_from(["scenario", "estimator"]), data=st.data())
+    def test_repeated_key_names_the_later_line(self, tmp_path_factory, which, data):
+        path = tmp_path_factory.mktemp("bad") / "f.txt"
+        read = _write_drawn(path, which, data)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        at = data.draw(st.integers(1, len(lines)), label="repeat at")
+        key = lines[0].partition("=")[0].strip()
+        lines.insert(at, data.draw(st.sampled_from([lines[0], f"{key} = 0.5"])))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SpecFormatError,
+                           match=f"^{re.escape(str(path))}:{at + 1}: duplicate key {key!r}"):
+            read(path)
+
+
 ESTIMATOR = "row_0 = 0.75, 0.25\nrow_1 = 0.25, 0.75\n"
 
 
@@ -202,9 +363,16 @@ class TestSampleFiles:
         assert not path.exists()
 
     def test_header_required(self, tmp_path):
-        path = write(tmp_path, "z,y\n0,1\n", name="s.csv")
-        with pytest.raises(SpecFormatError, match="s.csv:1"):
-            read_samples(path)
+        # the header is line 1, stripped of ASCII whitespace only
+        path = tmp_path / "s.csv"
+        for head in ["z,y", "\u00a0y,z", "y,z\u2003", "y,\u00a0z", "\ny,z"]:
+            path.write_text(f"{head}\n1,0\n", encoding="utf-8")
+            with pytest.raises(SpecFormatError, match="s.csv:1: expected the header"):
+                read_samples(path)
+
+    def test_header_takes_ascii_spaces(self, tmp_path):
+        path = write(tmp_path, " y , z\t\n1,0\n", name="s.csv")
+        assert read_samples(path) == [(1, 0)]
 
     def test_blank_lines_tolerated(self, tmp_path):
         path = write(tmp_path, "y,z\n1,0\n\n2,1\n", name="s.csv")
