@@ -32,6 +32,7 @@ from .errors import (
     SpecFormatError,
     UndefinedConditionalError,
     _ascii_float,
+    _ascii_int,
     create_text,
 )
 from .estimators import (
@@ -254,9 +255,9 @@ def _parse_sizes(text: str) -> tuple:
     try:
         if "-" in text:
             lo, hi = text.split("-", 1)
-            lo, hi = int(lo), int(hi)
+            lo, hi = _ascii_int(lo), _ascii_int(hi)
         else:
-            lo = hi = int(text)
+            lo = hi = _ascii_int(text)
     except ValueError:
         raise SpecFormatError(f"bad --sizes value {text!r}; expected e.g. 2-5") from None
     if lo < 2 or hi < lo:
@@ -363,7 +364,7 @@ def cmd_train(args) -> int:
     joint = sc.joint()
     oracle = RoleModelOracle.from_joint(joint)
     try:
-        n = int(args.samples)
+        n = _ascii_int(args.samples)  # ASCII digits are a count, anything else a path
         samples_path, source = None, joint
     except ValueError:
         samples_path = args.samples

@@ -7,7 +7,9 @@ bad probability values, undefined conditionals, violated structural
 preconditions, exhausted iteration budgets, and malformed files. Text
 files follow one rule: ``open_text`` and ``_lines`` read UTF-8 lines,
 non-blank, stripped of ASCII whitespace only; ``_key_value`` splits
-``key = value`` lines; ``create_text`` writes what a failure removes.
+``key = value`` lines; ``_one_line`` says whether a value written on
+such a line reads back unchanged; ``create_text`` writes what a failure
+removes.
 """
 
 import contextlib
@@ -114,6 +116,12 @@ def _lines(lines, start: int = 1):
         line = raw.strip(_ASCII_SPACE)
         if line:
             yield lineno, line
+
+
+def _one_line(text: str) -> bool:
+    """Whether text, written as the value of a ``key = value`` line,
+    survives the reader's ASCII strip unchanged and stays on one line."""
+    return text == text.strip(_ASCII_SPACE) and "\n" not in text and "\r" not in text
 
 
 def _key_value(line: str, seen, path, lineno: int) -> tuple:

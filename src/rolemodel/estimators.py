@@ -112,13 +112,23 @@ def _weighted_divergence(weight: np.ndarray, ref: np.ndarray, q: np.ndarray) -> 
     smaller values are rounding). Entries of zero weight are exactly 0
     whatever ref and q hold there, so undefined (NaN) rows may sit
     under them.
+
+    Each pair is sum_x ref log2 ref - sum_x ref log2 q, with the logs
+    taken over each operand's own rows rather than over the broadcast
+    (pair, x) table; only the two row sums run over the broadcast.
     """
+    pairs = "...x,...x->..."
+    neg_entropy = np.einsum(pairs, ref, np.log2(ref, out=np.zeros(ref.shape), where=ref > 0.0))
+    # log2 q is left 0 where q has no mass: the term is 0 where ref has
+    # none either, and any other pair with such a gap is set to +inf below
+    gap = q <= 0.0
+    log_q = np.log2(q, out=np.zeros(q.shape), where=~gap)
+    divergence = np.maximum(neg_entropy - np.einsum(pairs, ref, log_q), 0.0)
+    if gap.any():
+        divergence[np.einsum(pairs, ref > 0.0, gap)] = math.inf
     live = weight > 0.0
-    support = live[..., None] & (ref > 0.0)
-    with np.errstate(divide="ignore"):
-        logs = np.log2(np.where(support, ref, 1.0)) - np.log2(np.where(support, q, 1.0))
-    divergence = np.maximum((np.where(support, ref, 0.0) * logs).sum(axis=-1), 0.0)
-    return np.where(live, weight * divergence, 0.0)
+    out = np.zeros(np.broadcast_shapes(live.shape, divergence.shape))
+    return np.multiply(weight, divergence, out=out, where=live)
 
 
 def _check_estimator(joint: Joint3, estimator: ConditionalTable, live: np.ndarray) -> None:

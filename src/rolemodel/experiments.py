@@ -40,7 +40,6 @@ import numpy as np
 
 from .channels import ChannelSpec, bec, build_joint, general_channel, to_matrix, z_channel
 from .errors import (
-    _ASCII_SPACE,
     DimensionError,
     DistributionError,
     SpecFormatError,
@@ -49,6 +48,7 @@ from .errors import (
     _ascii_int,
     _key_value,
     _lines,
+    _one_line,
     create_text,
     open_text,
 )
@@ -147,11 +147,6 @@ _STEP_MAX = int(np.iinfo(np.int64).max)
 # a literal first character makes the search fast
 _SIGNED_STEP = re.compile(r"\n\s*[+-]")
 _WRITE_CHUNK = 8192  # rows formatted per write
-
-
-def _one_line(text: str) -> bool:
-    # survives "# key = value" and the reader's ASCII strip unchanged
-    return text == text.strip(_ASCII_SPACE) and "\n" not in text and "\r" not in text
 
 
 def _header_value(key: str, text: str, where: str = ""):

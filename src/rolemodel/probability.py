@@ -16,11 +16,15 @@ and each defined row of a ConditionalTable. Its entries must be finite
 and nonnegative and its mass within SUM_TOLERANCE of 1; it is then
 divided by that mass and its array marked read-only. Anything further
 off raises DistributionError as a construction bug, not papered over.
-All types are immutable and all operations are pure functions.
+All types are immutable and all operations are pure functions. The
+tables a Joint3 derives (marginals, pair tables, conditionals and
+conditional entropies) are computed on first use and kept with the
+joint, so each is built once however many callers ask for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -118,6 +122,8 @@ class Joint3:
     """A joint distribution over (x, y, z): a read-only (nx, ny, nz) table."""
 
     p: np.ndarray
+    # tables derived from p, filled on first use by the functions below
+    _derived: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         arr = np.array(self.p, dtype=float)
@@ -138,6 +144,22 @@ class Joint3:
     @property
     def nz(self) -> int:
         return self.p.shape[Z_AXIS]
+
+
+def _kept(fn):
+    """fn(joint, *args), computed once per joint and argument tuple and
+    then kept in the joint's cache. Sharing one result between callers
+    is safe because every result fn returns is read-only, as the joint is."""
+
+    @functools.wraps(fn)
+    def kept(joint: Joint3, *args):
+        key = (fn.__name__, *args)
+        cache = joint._derived
+        if key not in cache:
+            cache[key] = fn(joint, *args)
+        return cache[key]
+
+    return kept
 
 
 def _simplex_view(probs: np.ndarray) -> Simplex:
@@ -242,18 +264,22 @@ def kl_divergence(p: Simplex, q: Simplex) -> float:
     return _kl_from_arrays(p.probs, q.probs)
 
 
+@_kept
 def marginal_x(joint: Joint3) -> Simplex:
     return Simplex(joint.p.sum(axis=(Y_AXIS, Z_AXIS)))
 
 
+@_kept
 def marginal_y(joint: Joint3) -> Simplex:
     return Simplex(joint.p.sum(axis=(X_AXIS, Z_AXIS)))
 
 
+@_kept
 def marginal_z(joint: Joint3) -> Simplex:
     return Simplex(joint.p.sum(axis=(X_AXIS, Y_AXIS)))
 
 
+@_kept
 def _pair_table(joint: Joint3, drop_axis: int) -> np.ndarray:
     out = joint.p.sum(axis=drop_axis)
     out.setflags(write=False)
@@ -278,6 +304,7 @@ def marginal_yz(joint: Joint3) -> np.ndarray:
 _AXIS_NAMES = {X_AXIS: "x", Y_AXIS: "y", Z_AXIS: "z"}
 
 
+@_kept
 def conditional(joint: Joint3, target_axis: int, given_axis: int) -> ConditionalTable:
     """P(target | given), one row per conditioning symbol.
 
@@ -306,6 +333,11 @@ def conditional_entropy(
     and H(X|YZ) are available.
     """
     given = (given_axes,) if isinstance(given_axes, int) else tuple(given_axes)
+    return _conditional_entropy(joint, target_axis, given)
+
+
+@_kept
+def _conditional_entropy(joint: Joint3, target_axis: int, given: tuple) -> float:
     if not given:
         raise DimensionError("need at least one conditioning axis")
     axes = {target_axis, *given}

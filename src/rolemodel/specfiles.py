@@ -41,6 +41,7 @@ from .errors import (
     _ascii_int,
     _key_value,
     _lines,
+    _one_line,
     create_text,
     open_text,
 )
@@ -156,7 +157,14 @@ def _channel_lines(prefix: str, spec: ChannelSpec) -> list:
 
 
 def write_scenario(path, scenario: Scenario) -> None:
-    lines = [f"name = {scenario.name}"]
+    """Write a spec that read_scenario reads back. A name it would not
+    read back unchanged (empty, with '#' or a line break, or with ASCII
+    whitespace at either end) raises SpecFormatError before the file is
+    created."""
+    name = scenario.name
+    if not name or "#" in name or not _one_line(name):
+        raise SpecFormatError(f"scenario name {name!r} cannot be written as a spec line")
+    lines = [f"name = {name}"]
     lines.append("prior = " + ", ".join(repr(float(v)) for v in scenario.prior.probs))
     lines += _channel_lines("xy", scenario.xy_channel)
     lines += _channel_lines("yz", scenario.yz_channel)

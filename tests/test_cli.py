@@ -206,6 +206,13 @@ class TestVerifyTheorems:
         assert code == 2
         assert "format error" in captured.err
 
+    # Arabic-Indic and fullwidth digits, and a digit group
+    @pytest.mark.parametrize("sizes", ["\u0662-\u0663", "2-\uff13", "2-1_0"])
+    def test_sizes_are_ascii_digits(self, capsys, sizes):
+        code, captured = run(capsys, "verify-theorems", "--trials", 3, "--sizes", sizes)
+        assert code == 2
+        assert f"bad --sizes value {sizes!r}" in captured.err
+
 
 class TestTrainEvaluate:
     def test_train_simulated_then_evaluate(self, tmp_path, spec_path, capsys):
@@ -233,6 +240,20 @@ class TestTrainEvaluate:
         assert code == 0
         assert f"from {samples}" in captured.out
         assert est_path.exists()
+
+    @pytest.mark.parametrize("samples", ["1_000", "\u0661\u0660\u0660\u0660", "+1000"])
+    def test_train_count_is_ascii_digits(self, tmp_path, spec_path, capsys, monkeypatch, samples):
+        # any other text names a sample file, and a missing one is an i/o failure
+        monkeypatch.chdir(tmp_path)
+        est_path = tmp_path / "est.txt"
+        code, captured = run(capsys, "train", spec_path, "--samples", samples, "--out", est_path)
+        assert code == 1
+        assert "i/o failure" in captured.err and samples in captured.err
+        assert not est_path.exists()
+        write_samples(tmp_path / samples, [(0, 0), (1, 1), (2, 1)] * 200)
+        code, captured = run(capsys, "train", spec_path, "--samples", samples, "--out", est_path)
+        assert code == 0
+        assert f"trained on 600 samples from {samples}" in captured.out
 
     def test_train_alphabet_mismatch(self, tmp_path, spec_path, capsys):
         samples = tmp_path / "log.csv"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rolemodel import (
     ConditionalTable,
@@ -22,7 +23,8 @@ from rolemodel import (
     role_model_numeric,
     sufficiency_check,
 )
-from rolemodel.estimators import _descend_row
+from rolemodel.estimators import _descend_row, _weighted_divergence
+from rolemodel.probability import _kl_from_arrays
 from rolemodel.errors import (
     ConvergenceError,
     DimensionError,
@@ -183,6 +185,69 @@ class TestExpectedDivergence:
             expected_divergence_given_z(j, Simplex.uniform(2), 1)
         with pytest.raises(UndefinedConditionalError):
             expected_divergence(j, ConditionalTable((None, Simplex.uniform(2))))
+
+
+# (weight, ref, q) shapes of _weighted_divergence's callers, from the
+# sizes (x, y, z): expected_divergence_given_z, expected_divergence,
+# check_theorem1's residual and check_theorem2's left side
+KERNEL_SHAPES = {
+    "given_z": lambda x, y, z: ((y,), (y, x), (x,)),
+    "per_z": lambda x, y, z: ((z, y), (1, y, x), (z, 1, x)),
+    "residual": lambda x, y, z: ((z,), (z, x), (z, x)),
+    "posterior": lambda x, y, z: ((y, z), (y, z, x), (1, z, x)),
+}
+
+
+def _draw_rows(data, shape, label):
+    """Distribution rows along the last axis, with zero cells and some
+    rows left NaN (undefined)."""
+    size = int(np.prod(shape))
+    cells = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                               min_size=size, max_size=size), label=label)
+    rows = np.array(cells).reshape(-1, shape[-1])
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    nan = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)),
+                    label=f"{label} undefined")
+    rows[np.array(nan)] = math.nan
+    return rows.reshape(shape)
+
+
+class TestWeightedDivergence:
+    """The vectorised kernel against a literal loop of kl_divergence terms."""
+
+    @pytest.mark.parametrize("caller", sorted(KERNEL_SHAPES))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_per_pair_loop(self, caller, data):
+        sizes = [data.draw(st.integers(2, 6), label=axis) for axis in "xyz"]
+        w_shape, ref_shape, q_shape = KERNEL_SHAPES[caller](*sizes)
+        ref = _draw_rows(data, ref_shape, "ref")
+        # for the residual, q may be the direct estimator itself, or one
+        # computed another way and an ulp off: every pair is 0 up to rounding
+        q_kind = "drawn" if caller != "residual" else data.draw(
+            st.sampled_from(["drawn", "ref", "ref + 1 ulp"]), label="q")
+        if q_kind == "drawn":
+            q = _draw_rows(data, q_shape, "q")
+        else:
+            q = ref.copy() if q_kind == "ref" else np.nextafter(ref, 2.0)
+        weight = np.array(data.draw(
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                     min_size=int(np.prod(w_shape)), max_size=int(np.prod(w_shape))),
+            label="weight")).reshape(w_shape)
+        # an undefined row may only sit under zero weight
+        weight[np.isnan(ref).any(axis=-1) | np.isnan(q).any(axis=-1)] = 0.0
+
+        got = _weighted_divergence(weight, ref, q)
+        assert got.shape == w_shape and (got >= 0.0).all()  # no NaN, no negative pair
+        refs, qs = np.broadcast_arrays(ref, q)
+        for pair in np.ndindex(w_shape):
+            w = weight[pair]
+            want = w * _kl_from_arrays(refs[pair], qs[pair]) if w > 0.0 else 0.0
+            if math.isinf(want):
+                assert got[pair] == math.inf, pair
+            else:
+                assert abs(got[pair] - want) <= max(1e-12 * want, 1e-15), (pair, got[pair], want)
 
 
 class TestRoleModelExact:

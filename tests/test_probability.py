@@ -113,6 +113,21 @@ class TestJoint3:
         with pytest.raises(ValueError):
             j.p[0, 0, 0] = 1.0
 
+    def test_derived_tables_built_once_per_joint(self):
+        j = random_joint_table(np.random.default_rng(2), (2, 3, 4))
+        post = conditional(j, X_AXIS, Y_AXIS)
+        assert conditional(j, X_AXIS, Y_AXIS) is post
+        assert marginal_z(j) is marginal_z(j)
+        assert marginal_yz(j) is marginal_yz(j)
+        for kept in (post.p, post.defined, marginal_z(j).probs, marginal_yz(j)):
+            with pytest.raises(ValueError):
+                kept.flat[0] = 0.5
+        twin = Joint3(j.p)  # equal cells, its own tables
+        twin_post = conditional(twin, X_AXIS, Y_AXIS)
+        assert twin_post is not post
+        assert twin_post.p.tobytes() == post.p.tobytes()
+        assert marginal_z(twin) is not marginal_z(j)
+
 
 class TestConditionalTable:
     def test_from_raw_rows(self):

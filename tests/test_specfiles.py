@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -77,6 +78,19 @@ class TestScenarioFiles:
         np.testing.assert_array_equal(
             back.yz_channel.matrix.p, scenario_b().yz_channel.matrix.p
         )
+
+    @pytest.mark.parametrize("name", ["a b", "x = y", "\u00a0nbsp\u2003", "tab\tinside"])
+    def test_names_read_back_unchanged(self, tmp_path, name):
+        path = tmp_path / "out.spec"
+        write_scenario(path, dataclasses.replace(scenario_b(), name=name))
+        assert read_scenario(path).name == name
+
+    @pytest.mark.parametrize("name", ["", "a#b", " x", "x\t", "two\nlines", "cr\rhere", "\x0c"])
+    def test_name_that_would_not_read_back_is_refused(self, tmp_path, name):
+        path = tmp_path / "out.spec"
+        with pytest.raises(SpecFormatError, match="cannot be written as a spec line"):
+            write_scenario(path, dataclasses.replace(scenario_b(), name=name))
+        assert not path.exists()
 
     def test_z_channel_round_trip(self, tmp_path):
         from rolemodel import scenario_a
