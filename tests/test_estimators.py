@@ -198,13 +198,16 @@ KERNEL_SHAPES = {
 }
 
 
+def _draw_cells(data, shape, label):
+    size = int(np.prod(shape))
+    cells = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=size, max_size=size)
+    return np.array(data.draw(cells, label=label)).reshape(shape)
+
+
 def _draw_rows(data, shape, label):
     """Distribution rows along the last axis, with zero cells and some
     rows left NaN (undefined)."""
-    size = int(np.prod(shape))
-    cells = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
-                               min_size=size, max_size=size), label=label)
-    rows = np.array(cells).reshape(-1, shape[-1])
+    rows = _draw_cells(data, shape, label).reshape(-1, shape[-1])
     rows[rows.sum(axis=1) == 0.0, 0] = 1.0
     rows /= rows.sum(axis=1, keepdims=True)
     nan = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)),
@@ -231,10 +234,7 @@ class TestWeightedDivergence:
             q = _draw_rows(data, q_shape, "q")
         else:
             q = ref.copy() if q_kind == "ref" else np.nextafter(ref, 2.0)
-        weight = np.array(data.draw(
-            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
-                     min_size=int(np.prod(w_shape)), max_size=int(np.prod(w_shape))),
-            label="weight")).reshape(w_shape)
+        weight = _draw_cells(data, w_shape, "weight")
         # an undefined row may only sit under zero weight
         weight[np.isnan(ref).any(axis=-1) | np.isnan(q).any(axis=-1)] = 0.0
 
